@@ -172,6 +172,17 @@ def load_workspace(location: str | os.PathLike) -> Workspace:
     return ws
 
 
+def _cap(value: str) -> int:
+    """argparse type for --max-unknowns: a non-negative integer."""
+    try:
+        cap = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % value) from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % cap)
+    return cap
+
+
 def tokenize(line: str) -> list[str]:
     """Lowercase, split on whitespace, strip terminal .,!? and drop empties."""
     tokens = []
@@ -383,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_acq = sub.add_parser("acquire", help="infer disjuncts for unknown words")
     p_acq.add_argument("sentence")
     p_acq.add_argument("--no-filter", action="store_true")
-    p_acq.add_argument("--max-unknowns", type=int, default=None)
+    p_acq.add_argument("--max-unknowns", type=_cap, default=None)
     p_acq.add_argument("--trace", action="store_true")
     p_acq.add_argument("--write", action="store_true")
     p_acq.set_defaults(func=cmd_acquire)
@@ -395,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser("classify", help="classify one unknown word")
     p_cls.add_argument("sentence")
     p_cls.add_argument("--no-filter", action="store_true")
-    p_cls.add_argument("--max-unknowns", type=int, default=None)
+    p_cls.add_argument("--max-unknowns", type=_cap, default=None)
     p_cls.set_defaults(func=cmd_classify)
     return parser
 

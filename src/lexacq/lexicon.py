@@ -21,8 +21,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional
 
+_CONNECTOR_PATTERN = r"[A-Z]+[a-z]*"
+_NAME_PATTERN = r"[a-z]+(?:'[a-z]+)*"
 _CONNECTOR_RE = re.compile(r"([A-Z]+)([a-z]*)\Z")
-_WORD_RE = re.compile(r"[a-z]+(?:'[a-z]+)*\Z")
+_WORD_RE = re.compile(_NAME_PATTERN + r"\Z")
 
 
 class LexiconError(ValueError):
@@ -80,6 +82,15 @@ class Disjunct:
             object.__setattr__(self, "left", tuple(self.left))
         if not isinstance(self.right, tuple):
             object.__setattr__(self, "right", tuple(self.right))
+        # disjuncts are hashed far more often than built
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild rather than restore: string hashes differ between processes
+        return Disjunct, (self.left, self.right)
 
     def __str__(self) -> str:
         return "(%s %s)" % (_side_str(self.left), _side_str(self.right))
@@ -148,6 +159,8 @@ class Lexicon:
 
     def add(self, word: str, disjuncts: Iterable[Disjunct]) -> "Lexicon":
         """A new lexicon whose entry for word is the union, existing first."""
+        if not _WORD_RE.match(word):
+            raise LexiconError("bad word %r" % (word,))
         new = list(disjuncts)
         if not new and word not in self._entries:
             raise LexiconError("word %r has no disjuncts" % (word,))
@@ -252,8 +265,9 @@ def parse_disjunct_body(toks: _Tokens, connector_parser=Connector.parse):
     return left, right
 
 
-def parse_lexicon(text: str) -> Lexicon:
-    """Parse lexicon text.  Raises LexiconError with a line number."""
+def _walk_lexicon(text: str) -> dict[str, list[Disjunct]]:
+    """The token walker's reading of lexicon text; it raises LexiconError
+    with a line number at the first malformed token or entry."""
     toks = _Tokens(text)
     entries: dict[str, list[Disjunct]] = {}
     while toks.peek() is not None:
@@ -290,7 +304,74 @@ def parse_lexicon(text: str) -> Lexicon:
             break
         for word in head:
             entries[word] = list(disjuncts)
-    return Lexicon(entries)
+    return entries
+
+
+# The readers match the text one item at a time (an entry head or a `|`,
+# then one disjunct body) with a compiled regex, after removing comments,
+# and parse each distinct body text once per call.  The regexes accept
+# exactly the walker's language: `\s` is `str.isspace`, and a comment ends
+# at any `str.splitlines` boundary.  Text they do not accept goes to the
+# walker, which reports the error and its line.
+
+_COMMENT_RE = re.compile(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
+
+
+def _uncomment(text: str) -> str:
+    return _COMMENT_RE.sub("", text) if "#" in text else text
+
+
+def _body_pattern(connector: str) -> str:
+    """Regex source for a ``((...) (...))`` body of the given connectors."""
+    side = r"\(\s*(?:%s(?:\s*,\s*%s)*\s*)?\)" % (connector, connector)
+    return r"\(\s*%s\s*%s\s*\)" % (side, side)
+
+
+def _body_tokens(body: str) -> tuple[list[str], list[str]]:
+    """The connector tokens on each side of a body `_body_pattern` matched."""
+    left, right = "".join(body.split())[2:-2].split(")(")
+    return left.split(",") if left else [], right.split(",") if right else []
+
+
+_LEXICON_ITEM_RE = re.compile(r"\s*(?:(%s(?:\s*,\s*%s)*)\s*:|\|)\s*(%s)" % (
+    _NAME_PATTERN, _NAME_PATTERN, _body_pattern(_CONNECTOR_PATTERN)))
+
+
+def _read_lexicon(text: str) -> Optional[dict[str, list[Disjunct]]]:
+    """Entries of well-formed lexicon text; None for anything else."""
+    text = _uncomment(text)
+    entries: dict[str, list[Disjunct]] = {}
+    parsed: dict[str, Disjunct] = {}
+    disjuncts = None
+    pos = 0
+    match = _LEXICON_ITEM_RE.match
+    while (m := match(text, pos)) is not None:
+        head, body = m.groups()
+        if head is not None:
+            disjuncts = []
+            for word in head.split(","):
+                word = word.strip()
+                if word in entries:  # defined before, or twice in this head
+                    return None
+                entries[word] = disjuncts
+        elif disjuncts is None:
+            return None
+        d = parsed.get(body)
+        if d is None:
+            left, right = _body_tokens(body)
+            d = parsed[body] = Disjunct(tuple(map(Connector.parse, left)),
+                                        tuple(map(Connector.parse, right)))
+        if d in disjuncts:
+            return None
+        disjuncts.append(d)
+        pos = m.end()
+    return None if text[pos:].strip() else entries
+
+
+def parse_lexicon(text: str) -> Lexicon:
+    """Parse lexicon text.  Raises LexiconError with a line number."""
+    entries = _read_lexicon(text)
+    return Lexicon(_walk_lexicon(text) if entries is None else entries)
 
 
 def serialize_lexicon(lexicon: Lexicon) -> str:

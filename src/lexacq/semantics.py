@@ -14,8 +14,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .lexicon import (Connector, Disjunct, Lexicon, LexiconError, _Tokens,
-                      parse_disjunct_body)
+from .lexicon import (_CONNECTOR_PATTERN, _NAME_PATTERN, Connector, Disjunct,
+                      Lexicon, LexiconError, _body_pattern, _body_tokens,
+                      _Tokens, _uncomment, parse_disjunct_body)
 from .linker import Linkage, UnknownWordError, connector_assignment, match
 from .syntax import acquire_syntax
 
@@ -55,6 +56,8 @@ class ConceptHierarchy:
     def __post_init__(self):
         object.__setattr__(self, "parent", dict(self.parent))
         object.__setattr__(self, "edges", tuple(self.edges))
+        object.__setattr__(self, "_interior",
+                           frozenset(p for p, _ in self.edges))
         if self.kind not in ("noun", "verb"):
             raise HierarchyError("bad hierarchy kind %r" % (self.kind,))
 
@@ -65,6 +68,7 @@ class ConceptHierarchy:
         parent: dict[str, str] = {}
         edges: list[tuple[str, str]] = []
         root = None
+        known: set[str] = set()
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -77,7 +81,7 @@ class ConceptHierarchy:
                     raise HierarchyError("bad concept name %r" % name, lineno)
             if root is None:
                 root = p
-            known = set(parent) | {root}
+                known.add(root)
             if p not in known:
                 raise HierarchyError(
                     "parent %r not introduced yet" % p, lineno)
@@ -85,6 +89,7 @@ class ConceptHierarchy:
                 raise HierarchyError(
                     "%r already has a place in the tree" % c, lineno)
             parent[c] = p
+            known.add(c)
             edges.append((p, c))
         if root is None:
             raise HierarchyError("empty hierarchy")
@@ -106,7 +111,7 @@ class ConceptHierarchy:
 
     def is_leaf(self, name: str) -> bool:
         self.require(name)
-        return name not in {p for p, _ in self.edges}
+        return name not in self._interior
 
     def ancestors(self, name: str) -> list:
         """name and its ancestors up to the root, nearest first."""
@@ -500,10 +505,9 @@ def _parse_tagged_connector(token: str):
     return Connector.parse(token), None
 
 
-def parse_semlex(text: str, hiers: ConceptHierarchies) -> SemanticLexicon:
-    """Parse a tagged lexicon.  Tags are `_name` connector suffixes whose
-    hierarchy kind is resolved against `hiers`; `;support=N` follows a
-    disjunct.  Raises LexiconError with a line number."""
+def _walk_semlex(text: str, hiers: ConceptHierarchies) -> SemanticLexicon:
+    """The token walker's reading of a tagged lexicon; it raises
+    LexiconError with a line number at the first malformed token or entry."""
     toks = _Tokens(text)
     out = SemanticLexicon()
     seen_words = set()
@@ -551,6 +555,96 @@ def parse_semlex(text: str, hiers: ConceptHierarchies) -> SemanticLexicon:
                 break
             toks.take()
     return out
+
+
+# A word, connector or tag is always followed by whitespace or punctuation
+# in the grammar; a support count may be followed by the next entry's word,
+# and must end where the walker's token does.
+_SEMLEX_ITEM_RE = re.compile(
+    r"\s*(?:(%s)\s*:|\|)\s*(%s)"
+    r"(?:\s*;\s*support\s*=\s*([0-9]+)(?![A-Za-z0-9'_]))?" % (
+        _NAME_PATTERN,
+        _body_pattern("%s(?:_%s)?" % (_CONNECTOR_PATTERN, _NAME_PATTERN))))
+
+
+def _tagged_body(body: str, hiers: ConceptHierarchies
+                 ) -> Optional[TaggedDisjunct]:
+    """The observation, with support 1, of a body the item regex matched;
+    None when a tag names no single concept."""
+    sides, tags = [], []
+    for side, tokens in zip(("left", "right"), _body_tokens(body)):
+        conns = []
+        for i, token in enumerate(tokens):
+            name, _, tag_name = token.partition("_")
+            conns.append(Connector.parse(name))
+            if tag_name:
+                try:
+                    kind = hiers.kind_of(tag_name)
+                except HierarchyError:
+                    return None
+                if kind is None:
+                    return None
+                tags.append(((side, i), SemanticTag(tag_name, kind)))
+        sides.append(tuple(conns))
+    return TaggedDisjunct(Disjunct(*sides), tuple(tags))
+
+
+def _with_support(obs: TaggedDisjunct, support: int) -> TaggedDisjunct:
+    """obs with another support count, without re-checking its tags."""
+    out = object.__new__(TaggedDisjunct)
+    out.__dict__.update(obs.__dict__, support=support)
+    return out
+
+
+def _read_semlex(text: str, hiers: ConceptHierarchies) -> Optional[dict]:
+    """Observations of a well-formed tagged lexicon, identical ones pooled;
+    None for anything else."""
+    text = _uncomment(text)
+    table: dict[str, list[TaggedDisjunct]] = {}
+    parsed: dict[str, TaggedDisjunct] = {}  # body text -> observation
+    distinct: dict[TaggedDisjunct, TaggedDisjunct] = {}
+    items = pooled = None
+    pos = 0
+    match = _SEMLEX_ITEM_RE.match
+    while (m := match(text, pos)) is not None:
+        word, body, count = m.groups()
+        if word is not None:
+            if word in table:
+                return None
+            items = table[word] = []
+            pooled = {}  # id of an observation in distinct -> index in items
+        elif items is None:
+            return None
+        obs = parsed.get(body)
+        if obs is None:
+            obs = _tagged_body(body, hiers)
+            if obs is None:
+                return None
+            # equal bodies spaced differently share one object, so that
+            # pooling can go by identity
+            obs = parsed[body] = distinct.setdefault(obs, obs)
+        support = 1 if count is None else int(count)
+        if support < 1:
+            return None
+        i = pooled.get(id(obs))
+        if i is not None:
+            support += items[i].support
+            items[i] = _with_support(obs, support)
+        else:
+            pooled[id(obs)] = len(items)
+            items.append(obs if support == 1 else _with_support(obs, support))
+        pos = m.end()
+    return None if text[pos:].strip() else table
+
+
+def parse_semlex(text: str, hiers: ConceptHierarchies) -> SemanticLexicon:
+    """Parse a tagged lexicon.  Tags are `_name` connector suffixes whose
+    hierarchy kind is resolved against `hiers`; `;support=N` follows a
+    disjunct.  Raises LexiconError with a line number."""
+    table = _read_semlex(text, hiers)
+    if table is None:
+        return _walk_semlex(text, hiers)
+    return SemanticLexicon(table)
 
 
 def serialize_semlex(semlex: SemanticLexicon) -> str:

@@ -168,6 +168,22 @@ def test_acquire_write_is_idempotent(ws, capsys):
     assert run(ws, "parse", "the snipe eats meat") == 0
 
 
+def test_acquire_write_rejects_bad_word(ws, capsys):
+    before = (ws / "lexicon.lg").read_bytes()
+    assert run(ws, "acquire", "--write", "the 3rd eats meat") == 2
+    assert "bad word '3rd'" in capsys.readouterr().err
+    assert (ws / "lexicon.lg").read_bytes() == before
+    assert run(ws, "parse", "the condor eats meat") == 0
+
+
+@pytest.mark.parametrize("command", ["acquire", "classify"])
+def test_negative_max_unknowns_is_usage_error(ws, capsys, command):
+    with pytest.raises(SystemExit) as info:
+        run(ws, command, "--max-unknowns", "-1", "the snipe eats meat")
+    assert info.value.code == 2
+    assert "--max-unknowns: must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_acquire_error_exits(ws, capsys):
     assert run(ws, "acquire", "wug wug") == 1
     assert "no valid linkage" in capsys.readouterr().err

@@ -1,0 +1,314 @@
+"""The lexicon and tagged-lexicon readers: exact errors and round trips.
+
+Each reader matches well-formed text item by item and leaves anything else
+to a token walker, which reports the error and its line.  The error table
+pins the message and line of every kind of malformed input; the properties
+check that serialized values read back equal, however the text is spaced,
+commented or split across lines, and that the two paths never disagree.
+"""
+
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lexacq.lexicon import (
+    Connector,
+    Disjunct,
+    Lexicon,
+    LexiconError,
+    _read_lexicon,
+    _walk_lexicon,
+    parse_lexicon,
+    serialize_lexicon,
+)
+from lexacq.semantics import (
+    ConceptHierarchies,
+    ConceptHierarchy,
+    SemanticLexicon,
+    SemanticTag,
+    TaggedDisjunct,
+    _read_semlex,
+    _walk_semlex,
+    parse_semlex,
+    serialize_semlex,
+)
+
+# "cow" is in both hierarchies, so a tag naming it is ambiguous
+HIERS = ConceptHierarchies(
+    ConceptHierarchy.parse(
+        "thing > animal\nanimal > cow\nthing > food\nfood > meat\n", "noun"),
+    ConceptHierarchy.parse("action > eats\naction > cow\n", "verb"),
+)
+TAG_KINDS = {"thing": "noun", "animal": "noun", "food": "noun",
+             "meat": "noun", "action": "verb", "eats": "verb"}
+
+LEXICON_ERRORS = [
+    # bad character
+    ('the: (( ) (D))\nbig: (( ) (A)) @',
+     "line 2: unexpected character '@'", 2),
+    ('the: (( ) (D))\nété: (( ) (D))',
+     "line 2: unexpected character 'é'", 2),
+    ('the: (( ) (D)) # x\u2028 @',
+     "line 2: unexpected character '@'", 2),
+    ('the: (( ) (D)) # x\x85meat: ((Os) (@))',
+     "line 2: unexpected character '@'", 2),
+    ('the: (( ) (D))\x0c\x0cmeat: (( ) (@))',
+     "line 3: unexpected character '@'", 3),
+    # bad word
+    ('The: (( ) (D))',
+     "line 1: expected word, got 'The'", 1),
+    ('the: (( ) (D))\n3rd: ((D) (Ss))',
+     "line 2: expected word, got '3rd'", 2),
+    ("don': (( ) (D))",
+     'line 1: expected word, got "don\'"', 1),
+    ('the: (( ) (D)) ;support=2',
+     "line 1: expected word, got ';'", 1),
+    ('the: (( ) (D)) ((A) ( ))',
+     "line 1: expected word, got '('", 1),
+    # duplicate word or disjunct
+    ('the: (( ) (D))\n\nthe: (( ) (A))',
+     "line 3: duplicate definition of 'the'", 3),
+    ('the: (( ) (D))\r\nmeat: ((Os) ( ))\r\n\r\nmeat: ((A) ( ))',
+     "line 4: duplicate definition of 'meat'", 4),
+    ('the: ((A\t,\x0cB) (D))\nthe: (( ) (A))',
+     "line 3: duplicate definition of 'the'", 3),
+    ('big, yellow,\n  big: (( ) (A))',
+     "line 2: word 'big' repeated in head", 2),
+    ('meat: ((Os) ( )) |\n  ((Os) ( ))',
+     'line 2: duplicate disjunct ((Os) ( )) for meat', 2),
+    ('a, b: ((A) ( )) | (( ) (B)) | ((A) ( ))',
+     'line 1: duplicate disjunct ((A) ( )) for a, b', 1),
+    # missing ':' or ')'
+    ('the (( ) (D))',
+     "line 1: expected ',' or ':', got '('", 1),
+    ('the, big (( ) (D))',
+     "line 1: expected ',' or ':', got '('", 1),
+    ('the: (( ) (D) | (( ) (A))',
+     "line 1: expected ')', got '|'", 1),
+    # bad connector
+    ('the: (( ) (d))',
+     "line 1: bad connector 'd'", 1),
+    ('the: (( ) (D9))',
+     "line 1: bad connector 'D9'", 1),
+    ('the: (( ) (S_x))',
+     "line 1: bad connector 'S_x'", 1),
+    ('x: ((A,) ( ))',
+     "line 1: expected connector, got ')'", 1),
+    ('x: ((A B) ( ))',
+     "line 1: expected ',' or ')', got 'B'", 1),
+    # input that ends early
+    ('the: (( ) (D)',
+     'line 1: unexpected end of input', 1),
+    ('the:',
+     'line 1: unexpected end of input', 1),
+    ('the: (( ) (D)) |',
+     'line 1: unexpected end of input', 1),
+    ('the,',
+     'line 1: unexpected end of input', 1),
+    ('# only a comment\nthe: (( ) (D)) # trailing\nmeat:\n'
+     '  ((Os) ( )) |  # more\n',
+     'line 4: unexpected end of input', 4),
+]
+
+SEMLEX_ERRORS = [
+    # bad character
+    ('eats: ((Ss_animal) (O)) @',
+     "line 1: unexpected character '@'", 1),
+    ('eats: ((Ss) (O)) ;support=-1',
+     "line 1: unexpected character '-'", 1),
+    # bad word
+    ('Eats: ((Ss) (O))',
+     "line 1: bad word 'Eats'", 1),
+    ('eats_x: ((Ss) (O))',
+     "line 1: bad word 'eats_x'", 1),
+    ('eats: ((Ss) (O))\n| ((Ss) ( ))\nmeat: ((Os) ( )) ((Os) ( ))',
+     "line 3: bad word '('", 3),
+    ('| ((Ss) (O))',
+     "line 1: bad word '|'", 1),
+    # duplicate word
+    ('meat: ((Os) ( ))\nmeat: ((Os) ( ))',
+     "line 2: duplicate entry for 'meat'", 2),
+    # missing ':' or ')'
+    ('eats ((Ss) (O))',
+     "line 1: expected ':', got '('", 1),
+    ('eats, meat: ((Ss) (O))',
+     "line 1: expected ':', got ','", 1),
+    ('eats: ((Ss) (O) ;support=1',
+     "line 1: expected ')', got ';'", 1),
+    # bad connector or tag name
+    ('eats: ((ss_animal) (O))',
+     "line 1: bad connector 'ss'", 1),
+    ('eats: ((Ss_animal) (O9))',
+     "line 1: bad connector 'O9'", 1),
+    ('eats: ((Ss_Animal) (O))',
+     "line 1: bad tag name 'Animal'", 1),
+    ('eats: ((Ss_) (O))',
+     "line 1: bad tag name ''", 1),
+    ('eats: ((Ss_a_b) (O))',
+     "line 1: bad tag name 'a_b'", 1),
+    # unknown tag
+    ('eats: ((Ss_animal) (O_unicorn))',
+     "line 1: tag 'unicorn' is in neither hierarchy", 1),
+    ('eats: ((Ss_cow) (O))',
+     "line 1: 'cow' appears in both hierarchies", 1),
+    # bad support count
+    ('eats: ((Ss) (O)) ;support=0',
+     "line 1: bad support count '0'", 1),
+    ('eats: ((Ss) (O)) ;support=x',
+     "line 1: bad support count 'x'", 1),
+    ('eats: ((Ss) (O)) ;support=2x',
+     "line 1: bad support count '2x'", 1),
+    ('eats: ((Ss) (O)) ;support=2x: ((Ss) (O))',
+     "line 1: bad support count '2x'", 1),
+    ('eats: ((Ss) (O)) ;\nsupport=\n\n0',
+     "line 4: bad support count '0'", 4),
+    ('eats: ((Ss) (O)) ;supports=2',
+     "line 1: expected 'support', got 'supports'", 1),
+    ('eats: ((Ss) (O)) ;support 2',
+     "line 1: expected '=', got '2'", 1),
+    # input that ends early
+    ('eats: ((Ss) (O)',
+     'line 1: unexpected end of input', 1),
+    ('eats: ((Ss) (O)) ;support=',
+     'line 1: unexpected end of input', 1),
+    ('eats:',
+     'line 1: unexpected end of input', 1),
+    ('eats: ((Ss) (O)) |',
+     'line 1: unexpected end of input', 1),
+]
+
+
+@pytest.mark.parametrize("text, message, line", LEXICON_ERRORS)
+def test_lexicon_error_message_and_line(text, message, line):
+    with pytest.raises(LexiconError) as info:
+        parse_lexicon(text)
+    assert (str(info.value), info.value.line) == (message, line)
+
+
+@pytest.mark.parametrize("text, message, line", SEMLEX_ERRORS)
+def test_semlex_error_message_and_line(text, message, line):
+    with pytest.raises(LexiconError) as info:
+        parse_semlex(text, HIERS)
+    assert (str(info.value), info.value.line) == (message, line)
+
+
+# --- generated values and re-spaced text ------------------------------------
+
+names = st.builds(lambda stem, tail: stem + ("'" + tail if tail else ""),
+                  st.text("abcdefz", min_size=1, max_size=5),
+                  st.text("st", max_size=2))
+connectors = st.builds(Connector, st.sampled_from(["A", "D", "O", "S", "XY"]),
+                       st.sampled_from(["", "s", "p", "ab"]))
+sides = st.lists(connectors, max_size=3).map(tuple)
+disjuncts = st.builds(Disjunct, sides, sides)
+lexicons = st.dictionaries(
+    names, st.lists(disjuncts, min_size=1, max_size=4, unique=True),
+    max_size=6).map(Lexicon)
+
+
+@st.composite
+def observations(draw):
+    shape = draw(disjuncts)
+    slots = [("left", i) for i in range(len(shape.left))] + [
+        ("right", i) for i in range(len(shape.right))]
+    tagged = draw(st.lists(st.sampled_from(slots), unique=True)) if slots else []
+    tags = []
+    for slot in tagged:
+        value = draw(st.sampled_from(sorted(TAG_KINDS)))
+        tags.append((slot, SemanticTag(value, TAG_KINDS[value])))
+    return TaggedDisjunct(shape, tuple(tags), draw(st.integers(1, 120)))
+
+
+semlexes = st.dictionaries(
+    names,
+    st.lists(observations(), min_size=1, max_size=4,
+             unique_by=lambda o: (o.shape, o.tags)),
+    max_size=6).map(SemanticLexicon)
+
+_TOKEN_RE = re.compile(r"[A-Za-z0-9'_]+|[():,|;=]")
+# \x0c, \x1d, \x85 and \u2028 are whitespace that ends a line, and so a
+# comment
+GAPS = [" ", "\n", "\t", "   ", "\r\n", "\x0c", " # note\n", "# x\x0c",
+        "#w\x1d", "#y\x85", " #z\u2028", "\n# a comment line\n\n"]
+
+
+def respace(text, rng):
+    """The same tokens, joined by random whitespace, comments and line
+    breaks; tokens that would run together keep at least a space."""
+    tokens = _TOKEN_RE.findall(text)
+    out = [rng.choice(["", "\n", "# head\n"])] + tokens[:1]
+    for prev, token in zip(tokens, tokens[1:]):
+        glued = prev[-1] in "():,|;=" or token[0] in "():,|;="
+        out.append(rng.choice(GAPS + [""] * glued))
+        out.append(token)
+    return "".join(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lexicons, st.randoms(use_true_random=False))
+def test_lexicon_round_trips_however_spaced(lex, rng):
+    text = serialize_lexicon(lex)
+    assert parse_lexicon(text) == lex
+    spaced = respace(text, rng)
+    assert parse_lexicon(spaced) == lex
+    assert _read_lexicon(spaced) is not None  # the walker was not needed
+
+
+@settings(max_examples=60, deadline=None)
+@given(semlexes, st.randoms(use_true_random=False))
+def test_semlex_round_trips_however_spaced(semlex, rng):
+    text = serialize_semlex(semlex)
+    assert parse_semlex(text, HIERS) == semlex
+    spaced = respace(text, rng)
+    assert parse_semlex(spaced, HIERS) == semlex
+    assert _read_semlex(spaced, HIERS) is not None
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except LexiconError as exc:
+        return "error", str(exc), exc.line
+
+
+# edits that break well-formed text in many ways
+mutants = st.tuples(st.integers(0, 400), st.integers(0, 3),
+                    st.sampled_from(["", "(", ")", ",", "|", ":", ";", "=",
+                                     "_", "'", "x", "X", "3", " ", "\n", "#",
+                                     "@", "support", ";support=0"]))
+
+
+def _mutate(text, edit):
+    at, cut, insert = edit
+    at %= len(text) + 1
+    return text[:at] + insert + text[at + cut:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(lexicons, st.lists(mutants, min_size=1, max_size=3))
+def test_lexicon_reader_agrees_with_walker(lex, edits):
+    text = serialize_lexicon(lex)
+    for edit in edits:
+        text = _mutate(text, edit)
+    expected = _outcome(lambda t: Lexicon(_walk_lexicon(t)), text)
+    assert _outcome(parse_lexicon, text) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(semlexes, st.lists(mutants, min_size=1, max_size=3))
+def test_semlex_reader_agrees_with_walker(semlex, edits):
+    text = serialize_semlex(semlex)
+    for edit in edits:
+        text = _mutate(text, edit)
+    expected = _outcome(_walk_semlex, text, HIERS)
+    assert _outcome(parse_semlex, text, HIERS) == expected
+
+
+def test_semlex_pools_equal_observations_spaced_apart():
+    semlex = parse_semlex(
+        "eats: ((Ss_animal) (O)) ;support=2 | ((Ss_animal)  ( O )) |"
+        " (( Ss ) (O))", HIERS)
+    assert [(str(o), o.support) for o in semlex.lookup("eats")] == [
+        ("((Ss_animal) (O))", 3), ("((Ss) (O))", 1)]

@@ -107,6 +107,11 @@ def test_add_unions_existing_entry_first(lexicon):
     assert grown.lookup("eats") == old + (extra,)
 
 
+def test_add_rejects_bad_word(lexicon):
+    with pytest.raises(LexiconError, match="bad word '3rd'"):
+        lexicon.add("3rd", lexicon.lookup("condor"))
+
+
 def test_round_trip_value_equality(lexicon):
     assert parse_lexicon(serialize_lexicon(lexicon)) == lexicon
 
