@@ -23,6 +23,7 @@ from .linker import (
     Link,
     Linkage,
     OracleCapError,
+    SentenceTooLongError,
     UnknownWordError,
     Violation,
     enumerate_bruteforce,
@@ -83,6 +84,7 @@ __all__ = [
     "OracleCapError",
     "SemanticLexicon",
     "SemanticTag",
+    "SentenceTooLongError",
     "TaggedDisjunct",
     "TooManyUnknownsError",
     "TraceEvent",

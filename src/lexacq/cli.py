@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .lexicon import Lexicon, LexiconError, parse_lexicon, serialize_lexicon
 from .linker import (
+    SentenceTooLongError,
     UnknownWordError,
     linkage_records,
     parse,
@@ -308,7 +309,11 @@ def cmd_train(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-        linkages = parse(words, lexicon)
+        try:
+            linkages = parse(words, lexicon)
+        except SentenceTooLongError as exc:
+            print("error: line %d: %s" % (lineno, exc), file=sys.stderr)
+            return 1
         if not linkages:
             print("error: line %d: no valid linkage" % lineno, file=sys.stderr)
             return 1
@@ -415,8 +420,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UnknownWordError, NoSolutionError, TooManyUnknownsError,
-            NoSemanticEvidenceError) as exc:
+    except (UnknownWordError, SentenceTooLongError, NoSolutionError,
+            TooManyUnknownsError, NoSemanticEvidenceError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except (WorkspaceError, LexiconError, HierarchyError) as exc:

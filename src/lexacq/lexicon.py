@@ -103,6 +103,12 @@ class Disjunct:
 EMPTY_DISJUNCT = Disjunct((), ())
 
 
+def check_word(word: str) -> None:
+    """Raise LexiconError unless word is a valid lexicon word."""
+    if not _WORD_RE.match(word):
+        raise LexiconError("bad word %r" % (word,))
+
+
 class Lexicon:
     """Immutable mapping from word to its ordered disjunct sequence."""
 
@@ -111,8 +117,7 @@ class Lexicon:
     def __init__(self, entries: Mapping[str, Iterable[Disjunct]]):
         table: dict[str, tuple[Disjunct, ...]] = {}
         for word, disjuncts in entries.items():
-            if not _WORD_RE.match(word):
-                raise LexiconError("bad word %r" % (word,))
+            check_word(word)
             ds = tuple(disjuncts)
             if not ds:
                 # a defined word must carry at least one disjunct; absence of
@@ -159,8 +164,7 @@ class Lexicon:
 
     def add(self, word: str, disjuncts: Iterable[Disjunct]) -> "Lexicon":
         """A new lexicon whose entry for word is the union, existing first."""
-        if not _WORD_RE.match(word):
-            raise LexiconError("bad word %r" % (word,))
+        check_word(word)
         new = list(disjuncts)
         if not new and word not in self._entries:
             raise LexiconError("word %r has no disjuncts" % (word,))

@@ -24,6 +24,10 @@ from .lexicon import Connector, Disjunct, Lexicon, LexiconError
 
 ORACLE_CAP_DEFAULT = 7
 
+# The search recurses once per word; the cap keeps it well below Python's
+# default recursion limit of 1000 frames.
+MAX_SENTENCE_WORDS = 500
+
 
 class UnknownWordError(LookupError):
     """A sentence word is absent from the lexicon."""
@@ -38,11 +42,26 @@ class OracleCapError(ValueError):
     """Sentence is longer than the brute-force enumerator allows."""
 
 
+class SentenceTooLongError(ValueError):
+    """Sentence is longer than the solver allows (MAX_SENTENCE_WORDS)."""
+
+    def __init__(self, length: int):
+        super().__init__("sentence of %d words exceeds the limit of %d"
+                         % (length, MAX_SENTENCE_WORDS))
+
+
 def match(c1: Connector, c2: Connector) -> bool:
     """Connectors link iff bases agree and subscripts agree or one is empty."""
     return c1.base == c2.base and (
         not c1.subscript or not c2.subscript or c1.subscript == c2.subscript
     )
+
+
+def compatible(a: Disjunct, b: Disjunct) -> bool:
+    """Same shape and every connector pair can match."""
+    if len(a.left) != len(b.left) or len(a.right) != len(b.right):
+        return False
+    return all(match(x, y) for x, y in zip(a.left + a.right, b.left + b.right))
 
 
 def link_label(c1: Connector, c2: Connector) -> str:
@@ -136,9 +155,12 @@ def solve(
     never links to another wildcard: no known requirement would justify the
     link.  When `collect_causes` is set, each known (position, disjunct)
     pair taking part in a failed branch is tagged with the failure kinds it
-    witnessed (ordering, exclusion, connectivity).
+    witnessed (ordering, exclusion, connectivity).  Raises
+    SentenceTooLongError past MAX_SENTENCE_WORDS words.
     """
     n = len(words)
+    if n > MAX_SENTENCE_WORDS:
+        raise SentenceTooLongError(n)
     out = SolveOutcome([], causes={} if collect_causes else None)
     stack: list = []  # (source position, Connector or None, serial)
     links: list = []

@@ -17,7 +17,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .lexicon import (_CONNECTOR_PATTERN, _NAME_PATTERN, Connector, Disjunct,
                       Lexicon, LexiconError, _body_pattern, _body_tokens,
                       _Tokens, _uncomment, parse_disjunct_body)
-from .linker import Linkage, UnknownWordError, connector_assignment, match
+from .linker import (Linkage, UnknownWordError, compatible,
+                     connector_assignment)
 from .syntax import acquire_syntax
 
 _NAME_RE = re.compile(r"[a-z]+(?:'[a-z]+)*\Z")
@@ -374,14 +375,6 @@ class Evidence:
     facts: tuple  # ((filler, tag value), ...)
 
 
-def _shape_compatible(usage: Disjunct, chosen: Disjunct) -> bool:
-    if (len(usage.left) != len(chosen.left)
-            or len(usage.right) != len(chosen.right)):
-        return False
-    return all(match(a, b) for a, b in
-               zip(usage.left + usage.right, chosen.left + chosen.right))
-
-
 def classify_unknown(
     words: Sequence[str],
     unknown_pos: Optional[int],
@@ -434,7 +427,7 @@ def classify_unknown(
             any_tagged = True
         side, index = slot_of_link[(q, link)]
         for usage in usages:
-            if not _shape_compatible(usage.shape, witness.choices[q]):
+            if not compatible(usage.shape, witness.choices[q]):
                 continue
             emitted = usage.tag_at(side, index)
             if emitted is None:

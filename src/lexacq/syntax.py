@@ -11,11 +11,12 @@ elimination and hypothesis is recorded in a replayable trace.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .lexicon import Disjunct, Lexicon
-from .linker import Link, Linkage, SolveOutcome, match, solve
+from .lexicon import Disjunct, Lexicon, check_word
+from .linker import Link, Linkage, SolveOutcome, compatible, solve
 
 
 class NoSolutionError(ValueError):
@@ -175,23 +176,17 @@ def prune_known(problem: AcquisitionProblem):
 # --- hypothesis generation --------------------------------------------------
 
 
-def _frequency(hyp: Disjunct, lexicon: Lexicon) -> int:
-    """Number of lexicon words carrying a disjunct compatible with hyp."""
-    count = 0
-    for w in lexicon.words():
-        if any(_compatible(hyp, d) for d in lexicon.lookup(w)):
-            count += 1
-    return count
-
-
-def _compatible(hyp: Disjunct, d: Disjunct) -> bool:
-    """Same shape and every connector pair can match."""
-    if len(hyp.left) != len(d.left) or len(hyp.right) != len(d.right):
-        return False
-    return all(
-        match(a, b)
-        for a, b in zip(hyp.left + hyp.right, d.left + d.right)
-    )
+def _frequencies(hyps: Iterable[Disjunct], lexicon: Lexicon
+                 ) -> dict[Disjunct, int]:
+    """For each hypothesis, the number of lexicon words carrying a disjunct
+    compatible with it.  Words with equal entries are counted together,
+    so each distinct entry is checked once per hypothesis."""
+    entries = Counter(map(lexicon.lookup, lexicon))
+    return {
+        h: sum(n for ds, n in entries.items()
+               if any(compatible(h, d) for d in ds))
+        for h in hyps
+    }
 
 
 def _joints_from(outcome: SolveOutcome, unknown: Sequence[int]):
@@ -228,7 +223,7 @@ def filter_by_inventory(hyps: Sequence[Disjunct], lexicon: Lexicon
     """
     inventory = lexicon.inventory()
     return tuple(
-        h for h in hyps if any(_compatible(h, d) for d in inventory)
+        h for h in hyps if any(compatible(h, d) for d in inventory)
     )
 
 
@@ -243,7 +238,7 @@ def _witness_linkage(words, pruned, joint, lexicon, substitute: bool
         if p in joint:
             h = joint[p]
             if substitute:
-                forms = [d for d in lexicon.inventory() if _compatible(h, d)]
+                forms = [d for d in lexicon.inventory() if compatible(h, d)]
                 candidates[p] = tuple(forms) or (h,)
             else:
                 candidates[p] = (h,)
@@ -266,12 +261,16 @@ def acquire_syntax(
     """Full acquisition pipeline: prune, infer, filter, witness.
 
     Unknown words are the ones absent from the lexicon.  With no unknowns
-    the sentence is simply parsed.  Raises TooManyUnknownsError over the
-    cap and NoSolutionError for unlinkable sentences.
+    the sentence is simply parsed.  Raises LexiconError for an unknown
+    word the lexicon could not hold, TooManyUnknownsError over the cap,
+    SentenceTooLongError past the solver's length limit and NoSolutionError
+    for unlinkable sentences.
     """
     problem = AcquisitionProblem.from_lexicon(words, lexicon)
     words = problem.words
     unknown = sorted(problem.unknown_positions)
+    for p in unknown:
+        check_word(words[p])
     if len(unknown) > max_unknowns:
         raise TooManyUnknownsError(
             "%d unknown words exceed the cap of %d (%s)"
@@ -296,9 +295,10 @@ def acquire_syntax(
             novel=False, trace=tuple(trace), stats=stats)
 
     joint_map = _joints_from(outcome, unknown)
-
-    def hyp_key(h: Disjunct):
-        return (-_frequency(h, lexicon), str(h))
+    # rank keys (most frequent first, then display form), once per call
+    counts = _frequencies({h for key in joint_map for h in key}, lexicon)
+    rank = {h: (-n, str(h)) for h, n in counts.items()}
+    hyp_key = rank.__getitem__
 
     ordered_joints = sorted(
         joint_map, key=lambda key: tuple(hyp_key(h) for h in key))

@@ -9,6 +9,7 @@ from lexacq.cli import (
     main,
     tokenize,
 )
+from lexacq.linker import MAX_SENTENCE_WORDS
 
 
 @pytest.fixture
@@ -174,6 +175,39 @@ def test_acquire_write_rejects_bad_word(ws, capsys):
     assert "bad word '3rd'" in capsys.readouterr().err
     assert (ws / "lexicon.lg").read_bytes() == before
     assert run(ws, "parse", "the condor eats meat") == 0
+
+
+@pytest.mark.parametrize("command", ["acquire", "classify"])
+def test_bad_unknown_word_is_usage_error(ws, capsys, command):
+    assert run(ws, command, "the 3rd eats meat") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: bad word '3rd'\n"
+
+
+def test_parse_keeps_unknown_word_error_for_bad_word(ws, capsys):
+    assert run(ws, "parse", "the 3rd eats meat") == 1
+    assert "unknown word '3rd'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["parse", "acquire"])
+def test_too_long_sentence_exits_1(ws, capsys, command):
+    assert run(ws, command, " ".join(["the"] * 1200)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: sentence of 1200 words exceeds the limit of %d\n"
+                   % MAX_SENTENCE_WORDS)
+
+
+def test_train_reports_line_of_too_long_sentence(ws, capsys):
+    corpus = ws / "corpus.txt"
+    corpus.write_text("the condor eats meat\n" + "the " * 1200 + "\n",
+                      encoding="utf-8")
+    assert run(ws, "train", str(corpus)) == 1
+    assert capsys.readouterr().err == (
+        "error: line 2: sentence of 1200 words exceeds the limit of %d\n"
+        % MAX_SENTENCE_WORDS)
+    assert not (ws / "semantic_lexicon.lg").exists()
 
 
 @pytest.mark.parametrize("command", ["acquire", "classify"])

@@ -6,10 +6,13 @@ import pytest
 
 from lexacq.lexicon import Connector, Disjunct, parse_lexicon
 from lexacq.linker import (
+    MAX_SENTENCE_WORDS,
     Link,
     Linkage,
     OracleCapError,
+    SentenceTooLongError,
     UnknownWordError,
+    compatible,
     connector_assignment,
     enumerate_bruteforce,
     link_label,
@@ -49,6 +52,15 @@ def test_link_label_prefers_subscripted_form():
     assert link_label(C("S"), C("Ss")) == "Ss"
     assert link_label(C("Ss"), C("S")) == "Ss"
     assert link_label(C("D"), C("D")) == "D"
+
+
+def test_compatible_needs_same_shape_and_matching_connectors():
+    assert compatible(D("((D) (Ss))"), D("((Ds) (Ss))"))
+    assert compatible(D("((Ds) (Ss))"), D("((D) (Ss))"))
+    assert not compatible(D("((Dp) (Ss))"), D("((Ds) (Ss))"))
+    assert not compatible(D("((D) (Ss))"), D("((D) (O,Ss))"))
+    assert not compatible(D("((D) (Ss))"), D("((D,A) (Ss))"))
+    assert not compatible(D("((D) (Ss))"), D("((A) (Ss))"))
 
 
 def test_link_endpoints_must_be_ordered():
@@ -133,6 +145,15 @@ s: ((Y) ( ))
 """)
     assert parse(["p", "q", "r", "s"], lex) == []
     assert enumerate_bruteforce(["p", "q", "r", "s"], lex) == []
+
+
+def test_parse_rejects_sentence_past_length_limit(lexicon):
+    # a sentence at the limit is searched without reaching the recursion limit
+    assert parse(["the"] * MAX_SENTENCE_WORDS, lexicon) == []
+    with pytest.raises(SentenceTooLongError,
+                       match="sentence of %d words exceeds the limit of %d"
+                       % (MAX_SENTENCE_WORDS + 1, MAX_SENTENCE_WORDS)):
+        parse(["the"] * (MAX_SENTENCE_WORDS + 1), lexicon)
 
 
 def test_parse_single_word_needs_empty_disjunct(lexicon):

@@ -3,13 +3,18 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lexacq.lexicon import parse_lexicon
+from lexacq.lexicon import (Connector, Disjunct, Lexicon, LexiconError,
+                            parse_lexicon)
+from lexacq.linker import SentenceTooLongError, compatible
 from lexacq.syntax import (
     AcquisitionProblem,
     NoSolutionError,
     TooManyUnknownsError,
     TraceEvent,
+    _frequencies,
     acquire_syntax,
     filter_by_inventory,
     infer_unknowns,
@@ -162,3 +167,83 @@ def test_acquired_hypotheses_ordered_by_frequency(lexicon):
                             filter_on=False)
     # ((D) (Ss)) matches six noun entries, ((D) (Os,Ss)) matches none
     assert result.prefilter[1][0] == D("((D) (Ss))")
+
+
+def test_acquire_rejects_bad_unknown_word_before_search(lexicon):
+    with pytest.raises(LexiconError, match="bad word '3rd'"):
+        acquire_syntax("the 3rd eats meat".split(), lexicon)
+    # checked before the cap and before the solver sees the sentence
+    with pytest.raises(LexiconError, match="bad word '3rd'"):
+        acquire_syntax("the 3rd eats the zorp".split(), lexicon,
+                       max_unknowns=1)
+    with pytest.raises(LexiconError, match="bad word '3rd'"):
+        acquire_syntax(["the"] * 1200 + ["3rd"], lexicon)
+    with pytest.raises(SentenceTooLongError):
+        acquire_syntax(["the"] * 1200 + ["wug"], lexicon)
+
+
+# --- hypothesis frequencies --------------------------------------------------
+
+
+def _naive_frequency(hyp, lexicon):
+    """Reference count: rescan every word's entry for a compatible disjunct."""
+    count = 0
+    for w in lexicon.words():
+        if any(compatible(hyp, d) for d in lexicon.lookup(w)):
+            count += 1
+    return count
+
+
+_CONNECTORS = st.builds(Connector, st.sampled_from("AB"),
+                        st.sampled_from(["", "s", "p"]))
+_SIDES = st.lists(_CONNECTORS, max_size=2).map(tuple)
+_DISJUNCTS = st.builds(Disjunct, _SIDES, _SIDES)
+_ENTRIES = st.lists(_DISJUNCTS, min_size=1, max_size=3, unique=True).map(tuple)
+# no lexicon disjunct has a C connector
+_NOWHERE = Disjunct((Connector("C"),), ())
+
+
+def _bare(d):
+    """d with its subscripts dropped: compatible with every subscripted
+    form of the same connectors."""
+    return Disjunct(tuple(Connector(c.base) for c in d.left),
+                    tuple(Connector(c.base) for c in d.right))
+
+
+@st.composite
+def _lexicons(draw):
+    """Words that share one of a few entries mixed with words whose entry
+    is their own."""
+    shared = draw(st.lists(_ENTRIES, min_size=1, max_size=3))
+    size = draw(st.integers(min_value=1, max_value=12))
+    return Lexicon({
+        "w" + "x" * i: draw(st.one_of(st.sampled_from(shared), _ENTRIES))
+        for i in range(size)
+    })
+
+
+@settings(max_examples=300, deadline=None)
+@given(lexicon=_lexicons(), data=st.data())
+def test_frequencies_equal_per_word_count(lexicon, data):
+    inventory = lexicon.inventory()
+    hyps = data.draw(st.lists(st.one_of(
+        st.just(_NOWHERE),
+        _DISJUNCTS,
+        st.sampled_from(inventory),
+        st.sampled_from(inventory).map(_bare),
+    ), max_size=6))
+    assert _frequencies(hyps, lexicon) == {
+        h: _naive_frequency(h, lexicon) for h in hyps}
+
+
+def test_frequencies_cover_none_some_and_all_words():
+    lexicon = parse_lexicon("""
+        a, b, c: ((Ds) (Ss)) | ((D) (Os))
+        d: ((Dp) (Sp))
+        e: ((A) ( )) | ((D) (Ss))
+    """)
+    hyps = [D("((D) (S))"), D("((Ds) (Ss))"), D("((A) ( ))"),
+            D("((C) ( ))"), D("((D) (Os))")]
+    counts = _frequencies(hyps, lexicon)
+    assert [counts[h] for h in hyps] == [5, 4, 1, 0, 3]
+    assert counts == {h: _naive_frequency(h, lexicon) for h in hyps}
