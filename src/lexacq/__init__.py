@@ -11,7 +11,6 @@ known words it links to.
 """
 
 from .lexicon import (
-    EMPTY_DISJUNCT,
     Connector,
     Disjunct,
     Lexicon,
@@ -72,7 +71,6 @@ __all__ = [
     "ConceptHierarchy",
     "Connector",
     "Disjunct",
-    "EMPTY_DISJUNCT",
     "Evidence",
     "HierarchyError",
     "Lexicon",

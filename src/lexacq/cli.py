@@ -57,6 +57,10 @@ class WorkspaceError(ValueError):
     """Raised when the workspace configuration or its files are unusable."""
 
 
+class EmptySentenceError(ValueError):
+    """The sentence argument has no words once tokenized."""
+
+
 @dataclass
 class Workspace:
     """Resolved workspace file locations and option defaults."""
@@ -66,7 +70,6 @@ class Workspace:
     verb_hierarchy_path: Path
     semlex_path: Path
     max_unknowns: int = 2
-    oracle_cap: int = 7
     filter_on: bool = True
 
     def load_lexicon(self) -> Lexicon:
@@ -87,21 +90,26 @@ class Workspace:
 def _read(path: Path) -> str:
     try:
         return path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise WorkspaceError("cannot read %s: %s" % (path, exc)) from exc
 
 
 def atomic_write(path: Path, text: str) -> None:
-    """Write text to path via a sibling temp file and rename."""
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
+    """Write text to path via a sibling temp file and rename.  Raises
+    WorkspaceError, leaving path as it was, when it cannot be written."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent),
+                                   prefix=path.name + ".")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise WorkspaceError("cannot write %s: %s" % (path, exc)) from exc
 
 
 def _parse_bool(value: str, key: str) -> bool:
@@ -136,7 +144,8 @@ def load_workspace(location: str | os.PathLike) -> Workspace:
             raise WorkspaceError("%s line %d: duplicate key %r" % (path, lineno, key))
         values[key] = value
 
-    known = set(_PATH_KEYS) | {"max_unknowns", "oracle_cap", "filter_on"}
+    # oracle_cap is in workspaces made by earlier versions; it is ignored
+    known = set(_PATH_KEYS) | {"max_unknowns", "filter_on", "oracle_cap"}
     for key in values:
         if key not in known:
             raise WorkspaceError("%s: unknown option %r" % (path, key))
@@ -144,24 +153,22 @@ def load_workspace(location: str | os.PathLike) -> Workspace:
         if key not in values:
             raise WorkspaceError("%s: missing required option %r" % (path, key))
 
-    def intval(key: str, default: int, minimum: int) -> int:
-        if key not in values:
-            return default
+    max_unknowns = 2
+    if "max_unknowns" in values:
         try:
-            parsed = int(values[key])
+            max_unknowns = int(values["max_unknowns"])
         except ValueError:
-            raise WorkspaceError("option %s must be an integer" % key) from None
-        if parsed < minimum:
-            raise WorkspaceError("option %s must be >= %d" % (key, minimum))
-        return parsed
+            raise WorkspaceError(
+                "option max_unknowns must be an integer") from None
+        if max_unknowns < 0:
+            raise WorkspaceError("option max_unknowns must be >= 0")
 
     ws = Workspace(
         lexicon_path=base / values["lexicon"],
         noun_hierarchy_path=base / values["noun_hierarchy"],
         verb_hierarchy_path=base / values["verb_hierarchy"],
         semlex_path=base / values["semlex"],
-        max_unknowns=intval("max_unknowns", 2, 0),
-        oracle_cap=intval("oracle_cap", 7, 1),
+        max_unknowns=max_unknowns,
         filter_on=_parse_bool(values["filter_on"], "filter_on")
         if "filter_on" in values
         else True,
@@ -200,11 +207,13 @@ def tokenize(line: str) -> list[str]:
 def cmd_init(args: argparse.Namespace) -> int:
     """Scaffold a workspace directory with the sample data files."""
     target = Path(args.directory)
-    target.mkdir(parents=True, exist_ok=True)
+    try:
+        target.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise WorkspaceError("cannot create %s: %s" % (target, exc)) from exc
     config = target / CONFIG_NAME
     if config.exists():
-        print("error: %s already exists" % config, file=sys.stderr)
-        return 2
+        raise WorkspaceError("%s already exists" % config)
     data = importlib.resources.files("lexacq") / "data"
     for name, source in _DATA_FILES.items():
         atomic_write(target / name, (data / source).read_text(encoding="utf-8"))
@@ -216,7 +225,6 @@ def cmd_init(args: argparse.Namespace) -> int:
         "verb_hierarchy = verb_hierarchy.txt\n"
         "semlex = semantic_lexicon.lg\n"
         "max_unknowns = 2\n"
-        "oracle_cap = 7\n"
         "filter_on = true\n",
     )
     print("initialized workspace in %s" % target)
@@ -227,13 +235,29 @@ def _render(linkage, records: bool) -> str:
     return linkage_records(linkage) if records else render_diagram(linkage)
 
 
-def cmd_parse(args: argparse.Namespace) -> int:
+def _load_sentence(args: argparse.Namespace):
+    """The workspace, its lexicon and the sentence argument's words.
+    Raises EmptySentenceError when there are no words."""
     ws = load_workspace(args.workspace)
     lexicon = ws.load_lexicon()
     words = tokenize(args.sentence)
     if not words:
-        print("error: empty sentence", file=sys.stderr)
-        return 1
+        raise EmptySentenceError("empty sentence")
+    return ws, lexicon, words
+
+
+def _search_options(args: argparse.Namespace, ws: Workspace) -> dict:
+    """acquire_syntax's keywords: the command's flags over the workspace
+    defaults."""
+    return {
+        "max_unknowns": ws.max_unknowns if args.max_unknowns is None
+        else args.max_unknowns,
+        "filter_on": ws.filter_on and not args.no_filter,
+    }
+
+
+def cmd_parse(args: argparse.Namespace) -> int:
+    _, lexicon, words = _load_sentence(args)
     linkages = parse(words, lexicon)
     if not linkages:
         print("error: no valid linkage", file=sys.stderr)
@@ -249,20 +273,8 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_acquire(args: argparse.Namespace) -> int:
-    ws = load_workspace(args.workspace)
-    lexicon = ws.load_lexicon()
-    words = tokenize(args.sentence)
-    if not words:
-        print("error: empty sentence", file=sys.stderr)
-        return 1
-    result = acquire_syntax(
-        words,
-        lexicon,
-        max_unknowns=args.max_unknowns
-        if args.max_unknowns is not None
-        else ws.max_unknowns,
-        filter_on=ws.filter_on and not args.no_filter,
-    )
+    ws, lexicon, words = _load_sentence(args)
+    result = acquire_syntax(words, lexicon, **_search_options(args, ws))
     entries = result.acquired_entries()
     if not entries:
         print("no unknown words; sentence parses")
@@ -288,11 +300,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     lexicon = ws.load_lexicon()
     hiers = ws.load_hierarchies()
     semlex = ws.load_semlex(hiers)
-    try:
-        corpus = Path(args.corpus).read_text(encoding="utf-8")
-    except OSError as exc:
-        print("error: cannot read corpus: %s" % exc, file=sys.stderr)
-        return 2
+    corpus = _read(Path(args.corpus))
     trained = 0
     for lineno, raw in enumerate(corpus.splitlines(), start=1):
         line = raw.strip()
@@ -329,14 +337,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    ws = load_workspace(args.workspace)
-    lexicon = ws.load_lexicon()
+    ws, lexicon, words = _load_sentence(args)
     hiers = ws.load_hierarchies()
     semlex = ws.load_semlex(hiers)
-    words = tokenize(args.sentence)
-    if not words:
-        print("error: empty sentence", file=sys.stderr)
-        return 1
     unknown = [i for i, w in enumerate(words) if w not in lexicon]
     if len(unknown) != 1:
         print(
@@ -345,17 +348,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    results = classify_unknown(
-        words,
-        unknown[0],
-        lexicon,
-        semlex,
-        hiers,
-        max_unknowns=args.max_unknowns
-        if args.max_unknowns is not None
-        else ws.max_unknowns,
-        filter_on=ws.filter_on and not args.no_filter,
-    )
+    results = classify_unknown(words, unknown[0], lexicon, semlex, hiers,
+                               **_search_options(args, ws))
     target = words[unknown[0]]
     for concept, evidence in results:
         print("%s -> %s" % (target, concept))
@@ -420,8 +414,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UnknownWordError, SentenceTooLongError, NoSolutionError,
-            TooManyUnknownsError, NoSemanticEvidenceError) as exc:
+    except (EmptySentenceError, UnknownWordError, SentenceTooLongError,
+            NoSolutionError, TooManyUnknownsError,
+            NoSemanticEvidenceError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except (WorkspaceError, LexiconError, HierarchyError) as exc:

@@ -95,13 +95,6 @@ class Disjunct:
     def __str__(self) -> str:
         return "(%s %s)" % (_side_str(self.left), _side_str(self.right))
 
-    @property
-    def connector_count(self) -> int:
-        return len(self.left) + len(self.right)
-
-
-EMPTY_DISJUNCT = Disjunct((), ())
-
 
 def check_word(word: str) -> None:
     """Raise LexiconError unless word is a valid lexicon word."""
@@ -156,11 +149,6 @@ class Lexicon:
         """Every distinct disjunct in the lexicon, ordered by display form."""
         return tuple(sorted({d for ds in self._entries.values() for d in ds},
                             key=str))
-
-    def carriers(self, disjunct: Disjunct) -> tuple[str, ...]:
-        """Words whose entry contains the given disjunct."""
-        return tuple(sorted(w for w, ds in self._entries.items()
-                            if disjunct in ds))
 
     def add(self, word: str, disjuncts: Iterable[Disjunct]) -> "Lexicon":
         """A new lexicon whose entry for word is the union, existing first."""

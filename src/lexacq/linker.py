@@ -124,9 +124,9 @@ class SolveOutcome:
     causes: Optional[dict] = None  # (pos, disjunct) -> set of failure kinds
 
 
-def _connected(n: int, links) -> bool:
-    if n <= 1:
-        return True
+def _reachable(links) -> set[int]:
+    """Positions reachable from word 0 over (left, right, label) links.
+    A sentence of n words is connected iff n of them are reachable."""
     adj: dict[int, list[int]] = {}
     for q, p, _ in links:
         adj.setdefault(q, []).append(p)
@@ -138,7 +138,7 @@ def _connected(n: int, links) -> bool:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return len(seen) == n
+    return seen
 
 
 def solve(
@@ -245,7 +245,7 @@ def solve(
         if p == n:
             if stack:
                 blame("ordering")
-            elif not _connected(n, links):
+            elif len(_reachable(links)) < n:
                 blame("connectivity")
             else:
                 record_solution()
@@ -307,9 +307,14 @@ def parse(words: Sequence[str], lexicon: Lexicon) -> list[Linkage]:
         if ds is None:
             raise UnknownWordError(w, i)
         candidates.append(ds)
-    outcome = solve(words, candidates)
-    ordered = sorted(outcome.solutions,
-                     key=lambda s: (s.choice_indices, s.links))
+    return linkages_from(words, solve(words, candidates).solutions)
+
+
+def linkages_from(words: Sequence[str], solutions: Sequence[Solution]
+                  ) -> list[Linkage]:
+    """The solutions' linkages in canonical order (choice indices, then
+    links)."""
+    ordered = sorted(solutions, key=lambda s: (s.choice_indices, s.links))
     return [
         Linkage(words, sol.choices, tuple(Link(*t) for t in sol.links))
         for sol in ordered
@@ -410,18 +415,8 @@ def validate(linkage: Linkage) -> list[Violation]:
                           "links (%d,%d) and (%d,%d) cross" % (a, b, c, d)))
 
     # connectivity
-    if not _connected(n, [(l.left, l.right, l.label) for l in links]):
-        comp = {0}
-        adj: dict[int, set[int]] = {}
-        for l in links:
-            adj.setdefault(l.left, set()).add(l.right)
-            adj.setdefault(l.right, set()).add(l.left)
-        frontier = [0]
-        while frontier:
-            for nxt in adj.get(frontier.pop(), ()):
-                if nxt not in comp:
-                    comp.add(nxt)
-                    frontier.append(nxt)
+    comp = _reachable((l.left, l.right, l.label) for l in links)
+    if len(comp) < n:
         violations.append(
             Violation("connectivity", tuple(sorted(set(range(n)) - comp)),
                       "not reachable from word 0"))

@@ -14,14 +14,12 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .lexicon import (_CONNECTOR_PATTERN, _NAME_PATTERN, Connector, Disjunct,
-                      Lexicon, LexiconError, _body_pattern, _body_tokens,
-                      _Tokens, _uncomment, parse_disjunct_body)
+from .lexicon import (_CONNECTOR_PATTERN, _NAME_PATTERN, _WORD_RE, Connector,
+                      Disjunct, Lexicon, LexiconError, _body_pattern,
+                      _body_tokens, _Tokens, _uncomment, parse_disjunct_body)
 from .linker import (Linkage, UnknownWordError, compatible,
                      connector_assignment)
 from .syntax import acquire_syntax
-
-_NAME_RE = re.compile(r"[a-z]+(?:'[a-z]+)*\Z")
 
 
 class HierarchyError(ValueError):
@@ -78,7 +76,7 @@ class ConceptHierarchy:
                 raise HierarchyError("expected 'parent > child'", lineno)
             p, _, c = (part.strip() for part in line.partition(">"))
             for name in (p, c):
-                if not _NAME_RE.match(name):
+                if not _WORD_RE.match(name):
                     raise HierarchyError("bad concept name %r" % name, lineno)
             if root is None:
                 root = p
@@ -492,7 +490,7 @@ def refine(existing: Iterable[str], new_obs: Iterable[str],
 def _parse_tagged_connector(token: str):
     if "_" in token:
         conn_text, _, tag_name = token.partition("_")
-        if not _NAME_RE.match(tag_name):
+        if not _WORD_RE.match(tag_name):
             raise LexiconError("bad tag name %r" % (tag_name,))
         return Connector.parse(conn_text), tag_name
     return Connector.parse(token), None
@@ -507,7 +505,7 @@ def _walk_semlex(text: str, hiers: ConceptHierarchies) -> SemanticLexicon:
     while toks.peek() is not None:
         line = toks.line
         word = toks.take()
-        if not _NAME_RE.match(word):
+        if not _WORD_RE.match(word):
             raise LexiconError("bad word %r" % (word,), line)
         if word in seen_words:
             raise LexiconError("duplicate entry for %r" % (word,), line)

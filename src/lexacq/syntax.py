@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .lexicon import Disjunct, Lexicon, check_word
-from .linker import Link, Linkage, SolveOutcome, compatible, solve
+from .linker import Linkage, SolveOutcome, compatible, linkages_from, solve
 
 
 class NoSolutionError(ValueError):
@@ -189,6 +189,11 @@ def _frequencies(hyps: Iterable[Disjunct], lexicon: Lexicon
     }
 
 
+def _ranked(keys: Iterable[tuple], i: int, rank) -> tuple[Disjunct, ...]:
+    """The distinct hypotheses in column i of the joint keys, in rank order."""
+    return tuple(sorted({key[i] for key in keys}, key=rank))
+
+
 def _joints_from(outcome: SolveOutcome, unknown: Sequence[int]):
     """Distinct joint assignments with their witness link sets, in discovery
     order; each joint keeps its canonically smallest witness."""
@@ -248,7 +253,7 @@ def _witness_linkage(words, pruned, joint, lexicon, substitute: bool
     if not outcome.solutions:
         return None
     best = min(outcome.solutions, key=lambda s: s.links)
-    return Linkage(words, best.choices, tuple(Link(*t) for t in best.links))
+    return linkages_from(words, [best])[0]
 
 
 def acquire_syntax(
@@ -288,10 +293,11 @@ def acquire_syntax(
     stats = {"explored_nodes": outcome.nodes, "blind_candidates": blind}
 
     if not unknown:
-        from .linker import parse
-
+        # count pruning drops only disjuncts no linkage can use and keeps
+        # entry order, so these are parse's linkages in parse's order
         return AcquisitionResult(
-            words, (), {}, {}, pruned, ({},), parse(words, lexicon),
+            words, (), {}, {}, pruned, ({},),
+            linkages_from(words, outcome.solutions),
             novel=False, trace=tuple(trace), stats=stats)
 
     joint_map = _joints_from(outcome, unknown)
@@ -304,12 +310,7 @@ def acquire_syntax(
         joint_map, key=lambda key: tuple(hyp_key(h) for h in key))
     prefilter: dict[int, tuple[Disjunct, ...]] = {}
     for i, p in enumerate(unknown):
-        seen: list[Disjunct] = []
-        for key in ordered_joints:
-            if key[i] not in seen:
-                seen.append(key[i])
-        seen.sort(key=hyp_key)
-        prefilter[p] = tuple(seen)
+        prefilter[p] = _ranked(ordered_joints, i, hyp_key)
         for h in prefilter[p]:
             trace.append(TraceEvent("hypothesize", p, words[p], h,
                                     "synthesis"))
@@ -333,14 +334,8 @@ def acquire_syntax(
     else:
         surviving = ordered_joints
 
-    hypotheses: dict[int, tuple[Disjunct, ...]] = {}
-    for i, p in enumerate(unknown):
-        kept: list[Disjunct] = []
-        for key in surviving:
-            if key[i] not in kept:
-                kept.append(key[i])
-        kept.sort(key=hyp_key)
-        hypotheses[p] = tuple(kept)
+    hypotheses = {p: _ranked(surviving, i, hyp_key)
+                  for i, p in enumerate(unknown)}
 
     joints = []
     linkages = []

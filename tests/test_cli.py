@@ -39,7 +39,6 @@ def test_init_scaffolds_workspace(ws):
         assert (ws / name).is_file()
     loaded = load_workspace(ws)
     assert loaded.max_unknowns == 2
-    assert loaded.oracle_cap == 7
     assert loaded.filter_on is True
 
 
@@ -73,7 +72,7 @@ def test_load_workspace_rejects_bad_config(tmp_path, broken):
 def test_load_workspace_validates_option_ranges(ws):
     config = ws / "workspace.cfg"
     text = config.read_text(encoding="utf-8")
-    config.write_text(text.replace("oracle_cap = 7", "oracle_cap = 0"),
+    config.write_text(text.replace("max_unknowns = 2", "max_unknowns = -1"),
                       encoding="utf-8")
     with pytest.raises(WorkspaceError):
         load_workspace(ws)
@@ -83,10 +82,30 @@ def test_load_workspace_validates_option_ranges(ws):
         load_workspace(ws)
 
 
+def test_load_workspace_ignores_oracle_cap(ws):
+    # workspaces made by earlier versions still carry this option
+    config = ws / "workspace.cfg"
+    expected = load_workspace(ws)
+    config.write_text(config.read_text(encoding="utf-8") + "oracle_cap = 7\n",
+                      encoding="utf-8")
+    assert load_workspace(ws) == expected
+    assert run(ws, "parse", "the condor eats meat") == 0
+
+
 def test_load_workspace_requires_lexicon_file(ws):
     (ws / "lexicon.lg").unlink()
     with pytest.raises(WorkspaceError):
         load_workspace(ws)
+
+
+def test_init_on_regular_file_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "file"
+    target.write_bytes(b"keep\n")
+    assert main(["init", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: cannot create %s: " % target)
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_bytes() == b"keep\n"
 
 
 def test_missing_workspace_is_usage_error(tmp_path, capsys):
@@ -139,6 +158,24 @@ def test_parse_error_exits(ws, capsys):
     assert "no valid linkage" in capsys.readouterr().err
     assert run(ws, "parse", "...") == 1
     assert "empty sentence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["acquire", "classify"])
+def test_empty_sentence_exits_1(ws, capsys, command):
+    assert run(ws, command, ". , !") == 1
+    assert capsys.readouterr() == ("", "error: empty sentence\n")
+
+
+@pytest.mark.parametrize("command", ["parse", "acquire", "train", "classify"])
+def test_undecodable_lexicon_is_usage_error(ws, capsys, command):
+    lexicon = ws / "lexicon.lg"
+    lexicon.write_bytes(lexicon.read_bytes() + b"\xff\n")
+    arg = (str(ws / "sample_corpus.txt") if command == "train"
+           else "the snipe eats meat")
+    assert run(ws, command, arg) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot read %s: 'utf-8' codec" % lexicon)
 
 
 def test_acquire_prints_entry(ws, capsys):
@@ -253,6 +290,28 @@ def test_train_aborts_on_unparseable_line(ws, capsys):
 
 def test_train_missing_corpus(ws, capsys):
     assert run(ws, "train", str(ws / "absent.txt")) == 2
+
+
+def test_train_undecodable_corpus_is_usage_error(ws, capsys):
+    corpus = ws / "corpus.txt"
+    corpus.write_bytes(b"the condor eats meat\n\xff\n")
+    assert run(ws, "train", str(corpus)) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: cannot read %s: 'utf-8' codec" % corpus)
+    assert not (ws / "semantic_lexicon.lg").exists()
+
+
+def test_train_unwritable_semlex_is_usage_error(ws, capsys):
+    config = ws / "workspace.cfg"
+    config.write_text(
+        config.read_text(encoding="utf-8").replace(
+            "semlex = semantic_lexicon.lg", "semlex = nodir/s.lg"),
+        encoding="utf-8")
+    before = {p: p.read_bytes() for p in ws.iterdir()}
+    assert run(ws, "train", str(ws / "sample_corpus.txt")) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: cannot write %s: " % (ws / "nodir" / "s.lg"))
+    assert {p: p.read_bytes() for p in ws.iterdir()} == before
 
 
 def test_classify_after_training(ws, capsys):

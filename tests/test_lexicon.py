@@ -3,7 +3,6 @@
 import pytest
 
 from lexacq.lexicon import (
-    EMPTY_DISJUNCT,
     Connector,
     Disjunct,
     Lexicon,
@@ -31,10 +30,9 @@ def test_connector_str_round_trip():
 
 
 def test_disjunct_str_empty_sides():
-    assert str(EMPTY_DISJUNCT) == "(( ) ( ))"
+    assert str(Disjunct((), ())) == "(( ) ( ))"
     d = Disjunct((Connector("A"), Connector("D", "s")), (Connector("S", "s"),))
     assert str(d) == "((A,Ds) (Ss))"
-    assert d.connector_count == 3
 
 
 def test_parse_single_entry():
@@ -84,12 +82,6 @@ def test_inventory_is_distinct_and_sorted(lexicon):
     assert list(inv) == sorted(inv, key=str)
     # sample lexicon: 1 determiner + 1 adjective + 6 noun + 2 verb disjuncts
     assert len(inv) == 10
-
-
-def test_carriers_counts_words_not_disjuncts(lexicon):
-    d = parse_lexicon("x: ((Ds) (Ss))").lookup("x")[0]
-    carriers = lexicon.carriers(d)
-    assert set(carriers) == {"car", "condor", "corn", "cow", "gasoline", "meat"}
 
 
 def test_add_appends_new_word(lexicon):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lexacq.lexicon import (Connector, Disjunct, Lexicon, LexiconError,
                             parse_lexicon)
-from lexacq.linker import SentenceTooLongError, compatible
+from lexacq.linker import SentenceTooLongError, compatible, parse
 from lexacq.syntax import (
     AcquisitionProblem,
     NoSolutionError,
@@ -160,6 +160,42 @@ def test_acquire_fully_known_sentence_parses(lexicon):
 def test_acquire_unparseable_known_sentence(lexicon):
     with pytest.raises(NoSolutionError):
         acquire_syntax(["meat", "eats"], lexicon)
+
+
+_NOUNS = ("car", "condor", "corn", "cow", "gasoline", "meat")
+_ADJECTIVES = ("big", "yellow")
+_NOUN_PHRASES = st.builds(
+    lambda det, adjectives, noun: det + adjectives + [noun],
+    st.sampled_from([[], ["the"]]),
+    st.lists(st.sampled_from(_ADJECTIVES), max_size=1),
+    st.sampled_from(_NOUNS))
+# random word strings rarely parse; clauses built from noun phrases often do
+_KNOWN_SENTENCES = st.one_of(
+    st.lists(st.sampled_from(_NOUNS + _ADJECTIVES + ("the", "eats")),
+             min_size=1, max_size=7),
+    st.builds(lambda subject, obj: subject + ["eats"] + obj,
+              _NOUN_PHRASES, st.one_of(st.just([]), _NOUN_PHRASES)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=_KNOWN_SENTENCES)
+def test_acquire_without_unknowns_returns_parse(lexicon, words):
+    expected = parse(words, lexicon)
+    if not expected:
+        with pytest.raises(NoSolutionError):
+            acquire_syntax(words, lexicon)
+        return
+    assert acquire_syntax(words, lexicon).linkages == expected
+
+
+def test_acquire_without_unknowns_keeps_parse_order():
+    # count pruning drops aa's first disjunct, shifting the indices of the
+    # two that link
+    lex = parse_lexicon("aa: ((Y) ( )) | (( ) (Xs)) | (( ) (X))\n"
+                        "bb: ((X) ( ))")
+    expected = parse(["aa", "bb"], lex)
+    assert [l.choices[0] for l in expected] == list(lex.lookup("aa")[1:])
+    assert acquire_syntax(["aa", "bb"], lex).linkages == expected
 
 
 def test_acquired_hypotheses_ordered_by_frequency(lexicon):
