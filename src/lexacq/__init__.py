@@ -50,22 +50,18 @@ from .semantics import (
     tag_sentence,
 )
 from .syntax import (
-    AcquisitionProblem,
     AcquisitionResult,
     NoSolutionError,
     TooManyUnknownsError,
     TraceEvent,
     acquire_syntax,
     filter_by_inventory,
-    infer_unknowns,
-    prune_known,
     render_trace,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcquisitionProblem",
     "AcquisitionResult",
     "ConceptHierarchies",
     "ConceptHierarchy",
@@ -94,13 +90,11 @@ __all__ = [
     "enumerate_bruteforce",
     "filter_by_inventory",
     "generalize",
-    "infer_unknowns",
     "linkage_records",
     "match",
     "parse",
     "parse_lexicon",
     "parse_semlex",
-    "prune_known",
     "refine",
     "render_diagram",
     "render_trace",

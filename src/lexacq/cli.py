@@ -87,11 +87,18 @@ class Workspace:
         return parse_semlex(_read(self.semlex_path), hiers)
 
 
+def _file_error(action: str, path: Path, exc: Exception) -> WorkspaceError:
+    """`cannot ACTION PATH: reason`.  An OSError's own text names a file
+    again, a temp file's for atomic_write, so only its strerror is kept."""
+    reason = getattr(exc, "strerror", None) or exc
+    return WorkspaceError("cannot %s %s: %s" % (action, path, reason))
+
+
 def _read(path: Path) -> str:
     try:
         return path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise WorkspaceError("cannot read %s: %s" % (path, exc)) from exc
+        raise _file_error("read", path, exc) from exc
 
 
 def atomic_write(path: Path, text: str) -> None:
@@ -109,7 +116,7 @@ def atomic_write(path: Path, text: str) -> None:
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        raise WorkspaceError("cannot write %s: %s" % (path, exc)) from exc
+        raise _file_error("write", path, exc) from exc
 
 
 def _parse_bool(value: str, key: str) -> bool:
@@ -210,10 +217,13 @@ def cmd_init(args: argparse.Namespace) -> int:
     try:
         target.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise WorkspaceError("cannot create %s: %s" % (target, exc)) from exc
+        raise _file_error("create", target, exc) from exc
+    existing = [name for name in (CONFIG_NAME, *_DATA_FILES)
+                if (target / name).exists()]
+    if existing:
+        raise WorkspaceError("cannot initialize %s: already exists: %s"
+                             % (target, ", ".join(existing)))
     config = target / CONFIG_NAME
-    if config.exists():
-        raise WorkspaceError("%s already exists" % config)
     data = importlib.resources.files("lexacq") / "data"
     for name, source in _DATA_FILES.items():
         atomic_write(target / name, (data / source).read_text(encoding="utf-8"))
@@ -309,16 +319,15 @@ def cmd_train(args: argparse.Namespace) -> int:
         words = tokenize(line)
         if not words:
             continue
-        unknown = [w for w in words if w not in lexicon]
-        if unknown:
+        try:
+            linkages = parse(words, lexicon)
+        except UnknownWordError as exc:
             print(
                 "error: line %d: unknown word %r (train requires fully known"
-                " sentences)" % (lineno, unknown[0]),
+                " sentences)" % (lineno, exc.word),
                 file=sys.stderr,
             )
             return 1
-        try:
-            linkages = parse(words, lexicon)
         except SentenceTooLongError as exc:
             print("error: line %d: %s" % (lineno, exc), file=sys.stderr)
             return 1
@@ -348,7 +357,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    results = classify_unknown(words, unknown[0], lexicon, semlex, hiers,
+    results = classify_unknown(words, lexicon, semlex, hiers,
                                **_search_options(args, ws))
     target = words[unknown[0]]
     for concept, evidence in results:

@@ -375,7 +375,6 @@ class Evidence:
 
 def classify_unknown(
     words: Sequence[str],
-    unknown_pos: Optional[int],
     lexicon: Lexicon,
     semlex: SemanticLexicon,
     hiers: ConceptHierarchies,
@@ -383,7 +382,7 @@ def classify_unknown(
     max_unknowns: int = 2,
     filter_on: bool = True,
 ) -> list:
-    """Concepts the unknown word could denote, with evidence.
+    """Concepts the sentence's one unknown word could denote, with evidence.
 
     Runs syntactic acquisition, takes the first witness linkage, and for
     each known word linked to the unknown position checks its generalized
@@ -391,17 +390,15 @@ def classify_unknown(
     slot's actual filler is subsumed by that slot's tag; the tag at the
     slot linking to the unknown is then emitted.  Returns (concept,
     Evidence) pairs deduplicated by concept, deterministic order.
-    Raises NoSemanticEvidenceError when no linked word has tagged usages.
+    Raises ValueError unless exactly one word is unknown, and
+    NoSemanticEvidenceError when no linked word has tagged usages.
     """
-    result = acquire_syntax(list(words), lexicon,
+    result = acquire_syntax(words, lexicon,
                             max_unknowns=max_unknowns, filter_on=filter_on)
-    if unknown_pos is None:
-        if len(result.unknown_positions) != 1:
-            raise ValueError("unknown_pos required unless exactly one "
-                             "unknown word is present")
-        unknown_pos = result.unknown_positions[0]
-    if unknown_pos not in result.unknown_positions:
-        raise ValueError("position %d is not unknown" % unknown_pos)
+    if len(result.unknown_positions) != 1:
+        raise ValueError("classification needs exactly one unknown word, "
+                         "found %d" % len(result.unknown_positions))
+    unknown_pos = result.unknown_positions[0]
     witness = result.linkages[0]
     assignment = connector_assignment(witness)
     slot_of_link: dict[tuple, Slot] = {}

@@ -20,42 +20,16 @@ from .linker import Linkage, SolveOutcome, compatible, linkages_from, solve
 
 
 class NoSolutionError(ValueError):
-    """No disjunct assignment gives the sentence a valid linkage."""
+    """No disjunct assignment gives the sentence a valid linkage.  `trace`
+    holds the elimination events of the pruning that found none."""
+
+    def __init__(self, message: str, trace: Sequence[TraceEvent] = ()):
+        super().__init__(message)
+        self.trace = tuple(trace)
 
 
 class TooManyUnknownsError(ValueError):
     """More unknown words than the configured cap."""
-
-
-@dataclass(frozen=True)
-class AcquisitionProblem:
-    words: tuple[str, ...]
-    known: Mapping[int, tuple[Disjunct, ...]]
-    unknown_positions: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "words", tuple(self.words))
-        object.__setattr__(self, "unknown_positions",
-                           frozenset(self.unknown_positions))
-        object.__setattr__(self, "known", dict(self.known))
-        positions = set(range(len(self.words)))
-        if set(self.known) | self.unknown_positions != positions or (
-            set(self.known) & self.unknown_positions
-        ):
-            raise ValueError("known and unknown must partition the positions")
-
-    @classmethod
-    def from_lexicon(cls, words: Sequence[str], lexicon: Lexicon
-                     ) -> "AcquisitionProblem":
-        known = {}
-        unknown = set()
-        for i, w in enumerate(words):
-            entry = lexicon.lookup(w)
-            if entry is None:
-                unknown.add(i)
-            else:
-                known[i] = entry
-        return cls(tuple(words), known, frozenset(unknown))
 
 
 @dataclass(frozen=True)
@@ -119,21 +93,22 @@ def _cause_reason(kinds) -> str:
     return "ordering conflict"
 
 
-def _prune(problem: AcquisitionProblem):
-    """Two-pass pruning; returns (survivors, trace, solve outcome).
+def _prune(words: tuple[str, ...], known: Mapping[int, tuple[Disjunct, ...]],
+           unknown: frozenset[int]):
+    """Two-pass pruning of the known positions' entries; returns
+    (survivors, trace, solve outcome).
 
     Pass 1 removes disjuncts needing more words to one side than exist;
     pass 2 keeps exactly the disjuncts used by some valid linkage when
     unknown positions act as wildcards.  Scanning is by position then entry
     order, so the trace replays eliminations deterministically.
     """
-    words = problem.words
     n = len(words)
     trace: list[TraceEvent] = []
     survivors: dict[int, list[Disjunct]] = {}
-    for p in sorted(problem.known):
+    for p in sorted(known):
         survivors[p] = []
-        for d in problem.known[p]:
+        for d in known[p]:
             if len(d.left) > p:
                 trace.append(TraceEvent("eliminate", p, words[p], d,
                                         _count_reason("left", p)))
@@ -146,12 +121,11 @@ def _prune(problem: AcquisitionProblem):
     candidates: list = [None] * n
     for p, ds in survivors.items():
         candidates[p] = tuple(ds)
-    outcome = solve(words, candidates, unknown=problem.unknown_positions,
-                    collect_causes=True)
+    outcome = solve(words, candidates, unknown=unknown, collect_causes=True)
 
     supported = set()
     for sol in outcome.solutions:
-        for p in problem.known:
+        for p in known:
             supported.add((p, sol.choices[p]))
     pruned: dict[int, tuple[Disjunct, ...]] = {}
     for p in sorted(survivors):
@@ -165,12 +139,6 @@ def _prune(problem: AcquisitionProblem):
                                         _cause_reason(kinds)))
         pruned[p] = tuple(kept)
     return pruned, trace, outcome
-
-
-def prune_known(problem: AcquisitionProblem):
-    """Surviving disjuncts per known position, plus the elimination trace."""
-    pruned, trace, _ = _prune(problem)
-    return pruned, trace
 
 
 # --- hypothesis generation --------------------------------------------------
@@ -203,20 +171,6 @@ def _joints_from(outcome: SolveOutcome, unknown: Sequence[int]):
         if key not in joints or sol.links < joints[key]:
             joints[key] = sol.links
     return joints
-
-
-def infer_unknowns(problem: AcquisitionProblem) -> list[dict]:
-    """Every joint assignment of synthesized disjuncts to the unknown
-    positions admitting a valid linkage.  Raises NoSolutionError when the
-    sentence cannot be linked."""
-    _, _, outcome = _prune(problem)
-    if not outcome.solutions:
-        raise NoSolutionError(
-            "no valid linkage for %r" % (" ".join(problem.words),))
-    unknown = sorted(problem.unknown_positions)
-    return [
-        dict(zip(unknown, key)) for key in _joints_from(outcome, unknown)
-    ]
 
 
 def filter_by_inventory(hyps: Sequence[Disjunct], lexicon: Lexicon
@@ -271,11 +225,16 @@ def acquire_syntax(
     SentenceTooLongError past the solver's length limit and NoSolutionError
     for unlinkable sentences.
     """
-    problem = AcquisitionProblem.from_lexicon(words, lexicon)
-    words = problem.words
-    unknown = sorted(problem.unknown_positions)
-    for p in unknown:
-        check_word(words[p])
+    words = tuple(words)
+    known: dict[int, tuple[Disjunct, ...]] = {}
+    unknown: list[int] = []
+    for p, w in enumerate(words):
+        entry = lexicon.lookup(w)
+        if entry is None:
+            check_word(w)
+            unknown.append(p)
+        else:
+            known[p] = entry
     if len(unknown) > max_unknowns:
         raise TooManyUnknownsError(
             "%d unknown words exceed the cap of %d (%s)"
@@ -283,13 +242,13 @@ def acquire_syntax(
                ", ".join(words[p] for p in unknown)))
 
     blind = max(len(lexicon.inventory()), 1) ** len(unknown)
-    for p in sorted(problem.known):
-        blind *= max(len(problem.known[p]), 1)
+    for entry in known.values():
+        blind *= max(len(entry), 1)
 
-    pruned, trace, outcome = _prune(problem)
+    pruned, trace, outcome = _prune(words, known, frozenset(unknown))
     if not outcome.solutions:
         raise NoSolutionError(
-            "no valid linkage for %r" % (" ".join(words),))
+            "no valid linkage for %r" % (" ".join(words),), trace)
     stats = {"explored_nodes": outcome.nodes, "blind_candidates": blind}
 
     if not unknown:
@@ -317,14 +276,14 @@ def acquire_syntax(
 
     novel = False
     if filter_on:
-        surviving = [
-            key for key in ordered_joints
-            if all(filter_by_inventory((h,), lexicon) for h in key)
-        ]
+        # one inventory check for all the distinct hypotheses (counts' keys)
+        kept = set(filter_by_inventory(tuple(counts), lexicon))
+        surviving = [key for key in ordered_joints
+                     if all(h in kept for h in key)]
         if surviving:
-            for i, p in enumerate(unknown):
+            for p in unknown:
                 for h in prefilter[p]:
-                    if not filter_by_inventory((h,), lexicon):
+                    if h not in kept:
                         trace.append(TraceEvent(
                             "eliminate", p, words[p], h,
                             "not in lexicon inventory"))

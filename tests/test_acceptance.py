@@ -104,7 +104,7 @@ def test_criterion_05_training_generalizes_usages(trained_semlex):
 
 def test_criterion_06_unknown_word_classification(lexicon, hierarchies,
                                                   trained_semlex):
-    results = classify_unknown("the snipe eats meat".split(), None,
+    results = classify_unknown("the snipe eats meat".split(),
                                lexicon, trained_semlex, hierarchies)
     assert [concept for concept, _ in results] == ["animal"]
     evidence = results[0][1]

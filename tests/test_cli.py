@@ -1,6 +1,15 @@
 """Command-line behavior: tokenization, workspace handling, exit codes."""
 
+import contextlib
+import errno
+import io
+import os
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexacq.cli import (
     WorkspaceError,
@@ -9,6 +18,7 @@ from lexacq.cli import (
     main,
     tokenize,
 )
+from lexacq.lexicon import parse_lexicon
 from lexacq.linker import MAX_SENTENCE_WORDS
 
 
@@ -45,6 +55,19 @@ def test_init_scaffolds_workspace(ws):
 def test_init_refuses_existing_workspace(ws, capsys):
     assert main(["init", str(ws)]) == 2
     assert "already exists" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["lexicon.lg", "noun_hierarchy.txt",
+                                  "verb_hierarchy.txt", "sample_corpus.txt"])
+def test_init_refuses_to_overwrite_a_data_file(tmp_path, capsys, name):
+    mine = tmp_path / name
+    mine.write_bytes(b"mine: (( ) (D))\n")
+    assert main(["init", str(tmp_path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: cannot initialize %s: already exists: %s\n"
+        % (tmp_path, name))
+    assert list(tmp_path.iterdir()) == [mine]
+    assert mine.read_bytes() == b"mine: (( ) (D))\n"
 
 
 def test_load_workspace_accepts_config_path(ws):
@@ -102,8 +125,8 @@ def test_init_on_regular_file_is_usage_error(tmp_path, capsys):
     target = tmp_path / "file"
     target.write_bytes(b"keep\n")
     assert main(["init", str(target)]) == 2
-    assert capsys.readouterr().err.startswith(
-        "error: cannot create %s: " % target)
+    assert capsys.readouterr().err == "error: cannot create %s: %s\n" % (
+        target, os.strerror(errno.EEXIST))
     assert list(tmp_path.iterdir()) == [target]
     assert target.read_bytes() == b"keep\n"
 
@@ -275,8 +298,9 @@ def test_train_aborts_on_unknown_word(ws, capsys):
     corpus.write_text("# comment\nthe condor eats meat\nthe snipe eats meat\n",
                       encoding="utf-8")
     assert run(ws, "train", str(corpus)) == 1
-    err = capsys.readouterr().err
-    assert "line 3" in err and "snipe" in err
+    assert capsys.readouterr().err == (
+        "error: line 3: unknown word 'snipe' (train requires fully known"
+        " sentences)\n")
     assert not (ws / "semantic_lexicon.lg").exists()
 
 
@@ -290,6 +314,8 @@ def test_train_aborts_on_unparseable_line(ws, capsys):
 
 def test_train_missing_corpus(ws, capsys):
     assert run(ws, "train", str(ws / "absent.txt")) == 2
+    assert capsys.readouterr().err == "error: cannot read %s: %s\n" % (
+        ws / "absent.txt", os.strerror(errno.ENOENT))
 
 
 def test_train_undecodable_corpus_is_usage_error(ws, capsys):
@@ -309,8 +335,8 @@ def test_train_unwritable_semlex_is_usage_error(ws, capsys):
         encoding="utf-8")
     before = {p: p.read_bytes() for p in ws.iterdir()}
     assert run(ws, "train", str(ws / "sample_corpus.txt")) == 2
-    assert capsys.readouterr().err.startswith(
-        "error: cannot write %s: " % (ws / "nodir" / "s.lg"))
+    assert capsys.readouterr().err == "error: cannot write %s: %s\n" % (
+        ws / "nodir" / "s.lg", os.strerror(errno.ENOENT))
     assert {p: p.read_bytes() for p in ws.iterdir()} == before
 
 
@@ -343,3 +369,49 @@ def test_usage_error_exit_code(ws):
     with pytest.raises(SystemExit) as info:
         main(["-w", str(ws), "parse", "--records", "--diagram", "x"])
     assert info.value.code == 2
+
+
+# --- fuzzing through main ------------------------------------------------------
+
+_FUZZ_WORDS = ("aa", "bb", "cc", "dd")
+_FUZZ_CONNECTORS = st.builds(lambda base, sub: base + sub,
+                             st.sampled_from("AB"), st.sampled_from(["", "s"]))
+_FUZZ_SIDES = st.lists(_FUZZ_CONNECTORS, max_size=2).map(
+    lambda cs: "(%s)" % ",".join(cs) if cs else "( )")
+_FUZZ_ENTRIES = st.lists(st.builds("({} {})".format, _FUZZ_SIDES, _FUZZ_SIDES),
+                         min_size=1, max_size=3).map(" | ".join)
+# mostly well-formed entries, now and then a line of anything the reader
+# may meet
+_FUZZ_LEXICONS = st.builds(
+    lambda entries, junk: "\n".join(
+        ["%s: %s" % item for item in entries.items()] + junk),
+    st.dictionaries(st.sampled_from(_FUZZ_WORDS), _FUZZ_ENTRIES, max_size=4),
+    st.sampled_from([0, 0, 0, 1]).flatmap(lambda junk: st.lists(
+        st.text(alphabet="aA:,|() #\n_;=1\xe9", max_size=12),
+        min_size=junk, max_size=junk)))
+_FUZZ_SENTENCES = st.lists(
+    st.sampled_from(_FUZZ_WORDS * 3 + ("wug", "zorp", "3rd", ".")),
+    max_size=6).map(" ".join)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lexicon=_FUZZ_LEXICONS, sentence=_FUZZ_SENTENCES)
+def test_fuzzed_commands_exit_with_a_documented_code(lexicon, sentence):
+    with tempfile.TemporaryDirectory() as tmp:
+        ws = Path(tmp)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(["init", tmp]) == 0
+            lexicon_path = ws / "lexicon.lg"
+            lexicon_path.write_text(lexicon, encoding="utf-8")
+            corpus = ws / "corpus.txt"
+            corpus.write_text(sentence + "\n", encoding="utf-8")
+            for argv in (["parse", sentence], ["acquire", "--trace", sentence],
+                         ["train", str(corpus)], ["classify", sentence]):
+                assert run(ws, *argv) in (0, 1, 2)
+            if run(ws, "acquire", "--write", sentence) != 0:
+                return
+            written = lexicon_path.read_bytes()
+            parse_lexicon(written.decode("utf-8"))
+            assert run(ws, "acquire", "--write", sentence) == 0
+            assert lexicon_path.read_bytes() == written

@@ -195,7 +195,7 @@ def test_generalize_requires_same_tagged_slots(hierarchies):
 
 
 def test_classify_unknown_subject(lexicon, hierarchies, trained_semlex):
-    results = classify_unknown("the snipe eats meat".split(), None,
+    results = classify_unknown("the snipe eats meat".split(),
                                lexicon, trained_semlex, hierarchies)
     assert [concept for concept, _ in results] == ["animal"]
     evidence = results[0][1]
@@ -205,13 +205,13 @@ def test_classify_unknown_subject(lexicon, hierarchies, trained_semlex):
 
 
 def test_classify_follows_object_evidence(lexicon, hierarchies, trained_semlex):
-    results = classify_unknown("the snipe eats gasoline".split(), None,
+    results = classify_unknown("the snipe eats gasoline".split(),
                                lexicon, trained_semlex, hierarchies)
     assert [concept for concept, _ in results] == ["car"]
 
 
 def test_classify_object_position(lexicon, hierarchies, trained_semlex):
-    results = classify_unknown("the condor eats wug".split(), None,
+    results = classify_unknown("the condor eats wug".split(),
                                lexicon, trained_semlex, hierarchies)
     assert [concept for concept, _ in results] == ["food"]
     assert results[0][1].facts == (("condor", "animal"),)
@@ -219,8 +219,17 @@ def test_classify_object_position(lexicon, hierarchies, trained_semlex):
 
 def test_classify_without_usable_usage_raises(lexicon, hierarchies):
     with pytest.raises(NoSemanticEvidenceError):
-        classify_unknown("the snipe eats meat".split(), None,
+        classify_unknown("the snipe eats meat".split(),
                          lexicon, SemanticLexicon(), hierarchies)
+
+
+@pytest.mark.parametrize("sentence", ["the condor eats meat",
+                                      "the snipe eats the wug"])
+def test_classify_needs_exactly_one_unknown(lexicon, hierarchies,
+                                            trained_semlex, sentence):
+    with pytest.raises(ValueError, match="exactly one unknown word"):
+        classify_unknown(sentence.split(), lexicon, trained_semlex,
+                         hierarchies)
 
 
 def test_refine_narrows_and_reconciles(hierarchies):

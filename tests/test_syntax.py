@@ -3,22 +3,19 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexacq.lexicon import (Connector, Disjunct, Lexicon, LexiconError,
                             parse_lexicon)
 from lexacq.linker import SentenceTooLongError, compatible, parse
 from lexacq.syntax import (
-    AcquisitionProblem,
     NoSolutionError,
     TooManyUnknownsError,
     TraceEvent,
     _frequencies,
     acquire_syntax,
     filter_by_inventory,
-    infer_unknowns,
-    prune_known,
     render_trace,
 )
 
@@ -29,40 +26,44 @@ def D(text):
     return parse_lexicon("x: %s" % text).lookup("x")[0]
 
 
-def test_problem_partition_is_validated():
-    with pytest.raises(ValueError):
-        AcquisitionProblem(("a", "b"), {0: (D("(( ) ( ))"),)}, frozenset())
+def _pruning(trace):
+    """The eliminations made by pruning known words."""
+    return [e for e in trace if e.action == "eliminate"
+            and e.reason != "not in lexicon inventory"]
 
 
-def test_from_lexicon_splits_known_and_unknown(lexicon):
-    problem = AcquisitionProblem.from_lexicon(
-        ["the", "snipe", "eats", "meat"], lexicon)
-    assert problem.unknown_positions == {1}
-    assert set(problem.known) == {0, 2, 3}
-    assert problem.known[3] == lexicon.lookup("meat")
+def test_acquire_splits_known_and_unknown(lexicon):
+    words = ["the", "snipe", "eats", "meat"]
+    result = acquire_syntax(words, lexicon)
+    assert result.unknown_positions == (1,)
+    assert set(result.pruned_known) == {0, 2, 3}
+    # each known position's survivors and eliminations are its whole entry
+    for p in (0, 2, 3):
+        gone = {e.disjunct for e in _pruning(result.trace) if e.position == p}
+        assert [d for d in lexicon.lookup(words[p]) if d not in gone] == list(
+            result.pruned_known[p])
 
 
 def test_prune_keeps_only_supported_disjuncts(lexicon):
-    problem = AcquisitionProblem.from_lexicon(
-        ["the", "snipe", "eats", "meat"], lexicon)
-    pruned, trace = prune_known(problem)
+    result = acquire_syntax(["the", "snipe", "eats", "meat"], lexicon)
+    pruned = result.pruned_known
     assert pruned[3] == (D("((Os) ( ))"),)
     # the wildcard at position 1 can host meat's Os itself, so both of
     # eats' disjuncts stay live before hypothesis filtering
     assert pruned[2] == lexicon.lookup("eats")
     assert pruned[0] == lexicon.lookup("the")
-    assert len([e for e in trace if e.action == "eliminate"]) == 5
+    assert len(_pruning(result.trace)) == 5
 
 
 def test_prune_count_reasons(lexicon):
-    problem = AcquisitionProblem.from_lexicon(["eats", "meat"], lexicon)
-    pruned, trace = prune_known(problem)
-    reasons = {str(e.disjunct): e.reason for e in trace if e.position == 0}
+    # no linkage survives, so the trace comes with the error
+    with pytest.raises(NoSolutionError) as info:
+        acquire_syntax(["eats", "meat"], lexicon)
+    reasons = {str(e.disjunct): e.reason
+               for e in info.value.trace if e.position == 0}
     assert reasons["((Ss) (O))"] == (
         "left connector unsatisfiable: no words to the left")
-    problem2 = AcquisitionProblem.from_lexicon(
-        ["the", "meat", "eats", "meat"], lexicon)
-    _, trace2 = prune_known(problem2)
+    trace2 = acquire_syntax(["the", "meat", "eats", "meat"], lexicon).trace
     counted = [e for e in trace2 if e.position == 1 and "only" in e.reason]
     assert any(
         e.reason == "left connector unsatisfiable: only 1 word to the left"
@@ -74,11 +75,11 @@ def test_trace_event_rendering():
     assert str(event) == "eliminate:3:meat:((A,Os) ( )):ordering conflict"
 
 
-def test_infer_unknowns_synthesizes_bare_connectors(lexicon):
-    problem = AcquisitionProblem.from_lexicon(
-        ["the", "snipe", "eats", "meat"], lexicon)
-    joints = infer_unknowns(problem)
-    assert [j[1] for j in joints] == [D("((D) (Ss))"), D("((D) (Os,Ss))")]
+def test_acquire_synthesizes_bare_connectors(lexicon):
+    result = acquire_syntax(["the", "snipe", "eats", "meat"], lexicon,
+                            filter_on=False)
+    assert [j[1] for j in result.joints] == [
+        D("((D) (Ss))"), D("((D) (Os,Ss))")]
 
 
 def test_filter_by_inventory_uses_match_compatibility(lexicon):
@@ -283,3 +284,69 @@ def test_frequencies_cover_none_some_and_all_words():
     counts = _frequencies(hyps, lexicon)
     assert [counts[h] for h in hyps] == [5, 4, 1, 0, 3]
     assert counts == {h: _naive_frequency(h, lexicon) for h in hyps}
+
+
+# --- one inventory check per acquisition ---------------------------------------
+
+
+def _per_hypothesis_filter(words, lexicon):
+    """Reference: (surviving joints, inventory eliminations, novel) when
+    filter_by_inventory is asked about each hypothesis on its own, once per
+    joint and again for the trace."""
+    unfiltered = acquire_syntax(words, lexicon, filter_on=False)
+    unknown = unfiltered.unknown_positions
+    joints = [tuple(j[p] for p in unknown) for j in unfiltered.joints]
+    surviving = [key for key in joints
+                 if all(filter_by_inventory((h,), lexicon) for h in key)]
+    if not surviving:
+        return joints, [], True
+    eliminated = [(p, h) for p in unknown for h in unfiltered.prefilter[p]
+                  if not filter_by_inventory((h,), lexicon)]
+    return surviving, eliminated, False
+
+
+def _filtered(words, lexicon):
+    result = acquire_syntax(words, lexicon)
+    joints = [tuple(j[p] for p in result.unknown_positions)
+              for j in result.joints]
+    eliminated = [(e.position, e.disjunct) for e in result.trace
+                  if e.reason == "not in lexicon inventory"]
+    return joints, eliminated, result.novel
+
+
+@st.composite
+def _sentences_with_unknowns(draw):
+    """A sample-lexicon sentence with one or two of its words unknown."""
+    words = draw(_KNOWN_SENTENCES)
+    count = draw(st.integers(1, min(2, len(words))))
+    for p in draw(st.lists(st.integers(0, len(words) - 1), min_size=count,
+                           max_size=count, unique=True)):
+        words[p] = draw(st.sampled_from(["snipe", "wug"]))
+    return words
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=_sentences_with_unknowns())
+@example(words=["the", "snipe", "eats", "meat"])
+@example(words=["the", "big", "snipe", "eats", "the", "wug"])
+def test_one_inventory_check_equals_per_hypothesis_filter(lexicon, words):
+    try:
+        expected = _per_hypothesis_filter(words, lexicon)
+    except NoSolutionError:
+        with pytest.raises(NoSolutionError):
+            acquire_syntax(words, lexicon)
+        return
+    assert _filtered(words, lexicon) == expected
+
+
+def test_inventory_check_keeps_one_joint_of_three(lexicon):
+    words = "the big snipe eats the wug".split()
+    unfiltered = acquire_syntax(words, lexicon, filter_on=False)
+    assert len(unfiltered.joints) == 3
+    expected = (
+        [(D("((A,D) (Ss))"), D("((D,O) ( ))"))],
+        [(2, D("(( ) (Ss))")), (2, D("((A) (Ss))")),
+         (5, D("((D,O,A,D) ( ))")), (5, D("((D,O,D) ( ))"))],
+        False)
+    assert _per_hypothesis_filter(words, lexicon) == expected
+    assert _filtered(words, lexicon) == expected
