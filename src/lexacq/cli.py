@@ -284,7 +284,12 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 def cmd_acquire(args: argparse.Namespace) -> int:
     ws, lexicon, words = _load_sentence(args)
-    result = acquire_syntax(words, lexicon, **_search_options(args, ws))
+    try:
+        result = acquire_syntax(words, lexicon, **_search_options(args, ws))
+    except NoSolutionError as exc:
+        if args.trace and exc.trace:
+            print(render_trace(exc.trace))
+        raise
     entries = result.acquired_entries()
     if not entries:
         print("no unknown words; sentence parses")

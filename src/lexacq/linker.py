@@ -6,9 +6,13 @@ word pair carries more than one link (exclusion), every connector is used by
 exactly one link, and each word's links occur in the positional order its
 connector lists dictate.  Cycles are allowed.
 
-The solver (`parse`) walks the sentence left to right keeping a stack of
-open rightward connectors; planarity is exactly the stack discipline, and
-the ordering rule makes the link set deterministic per disjunct choice.
+The solver (`solve`, behind `parse`) is a depth-first search over the
+sentence left to right whose state is (position, open connectors): the
+stack of open rightward connectors and the links made so far are passed
+down the recursion, never mutated.  Planarity is exactly the stack
+discipline, and the ordering rule makes the link set deterministic per
+disjunct choice.  An unknown word is a wildcard whose disjunct is read off
+its links at each solution: what its left and right context link with.
 `enumerate_bruteforce` is an independent oracle: it tries every disjunct
 combination and every pairing of connector occurrences, keeping candidates
 that pass `validate`.
@@ -17,7 +21,7 @@ that pass `validate`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .lexicon import Connector, Disjunct, Lexicon, LexiconError
@@ -114,7 +118,6 @@ class Solution:
     choice_indices: tuple
     choices: tuple[Disjunct, ...]
     links: tuple[tuple[int, int, str], ...]
-    synthesized: dict[int, Disjunct] = field(default_factory=dict)
 
 
 @dataclass
@@ -141,6 +144,19 @@ def _reachable(links) -> set[int]:
     return seen
 
 
+def _read_off(p: int, links) -> Disjunct:
+    """The disjunct a wildcard at p links with: left connectors from the
+    links (q, p) nearest q first, right connectors from the links (p, r)
+    farthest r first.  A wildcard link's label is the known word's
+    connector written out exactly."""
+    left = sorted(((q, label) for q, r, label in links if r == p),
+                  reverse=True)
+    right = sorted(((r, label) for q, r, label in links if q == p),
+                   reverse=True)
+    return Disjunct(tuple(Connector.parse(label) for _, label in left),
+                    tuple(Connector.parse(label) for _, label in right))
+
+
 def solve(
     words: Sequence[str],
     candidates: Sequence[Optional[Sequence[Disjunct]]],
@@ -162,13 +178,7 @@ def solve(
     if n > MAX_SENTENCE_WORDS:
         raise SentenceTooLongError(n)
     out = SolveOutcome([], causes={} if collect_causes else None)
-    stack: list = []  # (source position, Connector or None, serial)
-    links: list = []
     applied: list = []  # (pos, disjunct) pairs on the current path
-    synth_left: dict[int, tuple] = {}
-    synth_pushes: dict[int, list] = {}
-    resolution: dict[int, Connector] = {}
-    counter = itertools.count()
 
     # a wildcard may open at most as many connectors as the words after it
     # could ever absorb
@@ -187,114 +197,86 @@ def solve(
         if extra is not None:
             out.causes.setdefault(extra, set()).add(kind)
 
-    def record_solution() -> None:
+    def record_solution(links: tuple) -> None:
         by_pos = dict(applied)
         choices = []
         indices = []
-        synthesized = {}
         for p in range(n):
             if p in unknown:
-                d = Disjunct(
-                    synth_left[p],
-                    tuple(resolution[s] for s in synth_pushes.get(p, ())),
-                )
-                synthesized[p] = d
-                choices.append(d)
+                choices.append(_read_off(p, links))
                 indices.append(None)
             else:
                 d = by_pos[p]
                 choices.append(d)
                 indices.append(candidates[p].index(d))
         out.solutions.append(
-            Solution(tuple(indices), tuple(choices), tuple(sorted(links)),
-                     synthesized)
-        )
+            Solution(tuple(indices), tuple(choices), tuple(sorted(links))))
 
-    def apply_known(p: int, d: Disjunct):
-        """Pop for d.left and push d.right; None on failure, else the list
-        of wildcard serials this application resolved."""
-        m = len(d.left)
-        if m > len(stack):
+    def links_for(p: int, d: Disjunct, stack: tuple):
+        """The links d's left connectors make with the top of the stack;
+        None on failure."""
+        if len(d.left) > len(stack):
             blame("ordering", (p, d))
             return None
         seen = set()
         new_links = []
-        resolved = []
         for i, a in enumerate(d.left):
-            src, conn, ser = stack[-1 - i]
+            src, conn = stack[-1 - i]
             if src in seen:
                 blame("exclusion", (p, d))
                 return None
             seen.add(src)
             if conn is None:
-                resolved.append(ser)
-                resolution[ser] = a
                 new_links.append((src, p, str(a)))
             elif match(conn, a):
                 new_links.append((src, p, link_label(conn, a)))
             else:
                 blame("ordering", (p, d))
                 return None
-        del stack[len(stack) - m :]
-        links.extend(new_links)
-        for b in d.right:
-            stack.append((p, b, next(counter)))
-        return resolved
+        return tuple(new_links)
 
-    def at(p: int) -> None:
+    def at(p: int, stack: tuple, links: tuple) -> None:
+        """Search on from word p, given the links made before it and the
+        open rightward connectors: a stack of (source position, Connector,
+        or None for a wildcard's)."""
         if p == n:
             if stack:
                 blame("ordering")
             elif len(_reachable(links)) < n:
                 blame("connectivity")
             else:
-                record_solution()
+                record_solution(links)
             return
-        saved_stack = stack[:]
-        saved_links = len(links)
         if p in unknown:
             max_k = 0
             seen = set()
             while max_k < len(stack):
-                src, conn, _ = stack[-1 - max_k]
+                src, conn = stack[-1 - max_k]
                 if conn is None or src in seen:
                     break
                 seen.add(src)
                 max_k += 1
             for k in range(max_k + 1):
-                popped = [saved_stack[-1 - i] for i in range(k)]
-                synth_left[p] = tuple(c for _, c, _ in popped)
+                rest = stack[: len(stack) - k]
+                here = links + tuple(
+                    (src, p, str(c)) for src, c in stack[len(stack) - k:])
                 for j in range(push_cap[p + 1] + 1):
                     out.nodes += 1
-                    del stack[:]
-                    stack.extend(saved_stack[: len(saved_stack) - k])
-                    del links[saved_links:]
-                    links.extend((src, p, str(c)) for src, c, _ in popped)
-                    serials = [next(counter) for _ in range(j)]
-                    synth_pushes[p] = serials
-                    stack.extend((p, None, s) for s in serials)
-                    at(p + 1)
-            del stack[:]
-            stack.extend(saved_stack)
-            del links[saved_links:]
-            synth_left.pop(p, None)
-            synth_pushes.pop(p, None)
+                    at(p + 1, rest + ((p, None),) * j, here)
             return
         for d in candidates[p]:
             out.nodes += 1
-            resolved = apply_known(p, d)
-            if resolved is None:
+            new_links = links_for(p, d, stack)
+            if new_links is None:
                 continue
             applied.append((p, d))
-            at(p + 1)
+            at(p + 1,
+               stack[: len(stack) - len(d.left)]
+               + tuple((p, b) for b in d.right),
+               links + new_links)
             applied.pop()
-            for ser in resolved:
-                del resolution[ser]
-            del stack[:]
-            stack.extend(saved_stack)
-            del links[saved_links:]
 
-    at(0)
+    at(0, (), ())
     return out
 
 

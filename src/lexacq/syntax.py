@@ -167,7 +167,7 @@ def _joints_from(outcome: SolveOutcome, unknown: Sequence[int]):
     order; each joint keeps its canonically smallest witness."""
     joints: dict[tuple, tuple] = {}
     for sol in outcome.solutions:
-        key = tuple(sol.synthesized[p] for p in unknown)
+        key = tuple(sol.choices[p] for p in unknown)
         if key not in joints or sol.links < joints[key]:
             joints[key] = sol.links
     return joints

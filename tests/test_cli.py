@@ -219,6 +219,20 @@ def test_acquire_trace_output(ws, capsys):
     assert "eliminate:1:snipe:((D) (Os,Ss)):not in lexicon inventory" in out
 
 
+def test_acquire_trace_of_unlinkable_sentence(ws, capsys):
+    error = "error: no valid linkage for 'meat eats the snipe'\n"
+    assert run(ws, "acquire", "--trace", "meat eats the snipe") == 1
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert len(out) == 9
+    assert out[0] == ("eliminate:0:meat:((A,Ds,Os) ( )):left connector"
+                      " unsatisfiable: no words to the left")
+    assert out[-1] == "eliminate:2:the:(( ) (D)):ordering conflict"
+    assert captured.err == error
+    assert run(ws, "acquire", "meat eats the snipe") == 1
+    assert capsys.readouterr() == ("", error)
+
+
 def test_acquire_write_is_idempotent(ws, capsys):
     assert run(ws, "acquire", "--write", "the snipe eats meat") == 0
     written = (ws / "lexicon.lg").read_bytes()

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lexacq.lexicon import Connector, Disjunct, parse_lexicon
+from lexacq.lexicon import Connector, Disjunct, Lexicon, parse_lexicon
 from lexacq.linker import (
     MAX_SENTENCE_WORDS,
     Link,
@@ -16,8 +18,10 @@ from lexacq.linker import (
     connector_assignment,
     enumerate_bruteforce,
     link_label,
+    linkages_from,
     match,
     parse,
+    solve,
     validate,
 )
 
@@ -271,3 +275,90 @@ c: ((X) ( )) | (( ) (X)) | ((X) (X))
     for _ in range(80):
         words = [rng.choice("abc") for _ in range(rng.randint(1, 5))]
         assert parse(words, lex) == enumerate_bruteforce(words, lex)
+
+
+# --- differential property against the oracle on random small grammars ------
+
+_BASES = st.sampled_from("XY")
+_SUBSCRIPTS = st.sampled_from(["", "a", "b"])
+_SIDES = st.lists(st.builds(Connector, _BASES, _SUBSCRIPTS),
+                  max_size=2).map(tuple)
+
+
+@st.composite
+def _grammars(draw):
+    """A random lexicon of 2-4 words with 1-3 disjuncts each, a sentence of
+    2-6 of its words and one position in it.  Random sentences over random
+    grammars seldom link, so half the cases first plant a random planar,
+    connected linkage and give each word the disjuncts it uses there."""
+    names = ["aa", "bb", "cc", "dd"][:draw(st.integers(2, 4))]
+    n = draw(st.integers(2, 6))
+    words = draw(st.lists(st.sampled_from(names), min_size=n, max_size=n))
+    entries: dict = {w: [] for w in names}
+    if draw(st.booleans()):
+        arcs: list = []
+        for p in range(1, n):
+            # an arc (q, p) crosses an earlier arc (a, b) iff a < q < b; no
+            # word gets more than 2 connectors on a side
+            open_q = [q for q in range(p)
+                      if sum(a == q for a, _ in arcs) < 2
+                      and not any(a < q < b for a, b in arcs)]
+            if open_q:
+                arcs += [(q, p) for q in draw(st.lists(
+                    st.sampled_from(open_q), min_size=1, max_size=2,
+                    unique=True))]
+        left: list = [[] for _ in range(n)]
+        right: list = [[] for _ in range(n)]
+        for q, p in arcs:
+            # matching ends: one base, each end with the subscript or none
+            base, sub = draw(_BASES), st.sampled_from(["", draw(_SUBSCRIPTS)])
+            right[q].append((p, Connector(base, draw(sub))))
+            left[p].append((q, Connector(base, draw(sub))))
+        for p, w in enumerate(words):
+            d = Disjunct(tuple(c for _, c in sorted(left[p], reverse=True)),
+                         tuple(c for _, c in sorted(right[p], reverse=True)))
+            if d not in entries[w] and len(entries[w]) < 3:
+                entries[w].append(d)
+    for w, ds in entries.items():
+        for d in draw(st.lists(st.builds(Disjunct, _SIDES, _SIDES),
+                               min_size=0 if ds else 1,
+                               max_size=3 - len(ds))):
+            if d not in ds:
+                ds.append(d)
+        entries[w] = draw(st.permutations(ds))
+    return Lexicon(entries), words, draw(st.integers(0, n - 1))
+
+
+# derandomized: the oracle's cost varies by orders of magnitude between
+# grammars, and a fixed example set keeps the test's time fixed
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_grammars())
+def test_solve_agrees_with_oracle_on_random_grammars(case):
+    lex, words, u = case
+    assert parse(words, lex) == enumerate_bruteforce(words, lex)
+
+    # word u as a wildcard, renamed wug
+    candidates = [lex.lookup(w) for w in words]
+    candidates[u] = None
+    solutions = solve(words, candidates, unknown=frozenset({u})).solutions
+    masked = list(words)
+    masked[u] = "wug"
+    read_off = {sol.choices[u] for sol in solutions}
+    # sound: with the solution's disjuncts as the only entries, wug's read
+    # off its links, the oracle finds the solution's linkage (validated
+    # first, since an invalid one can make the oracle's enumeration huge)
+    for sol in solutions:
+        linkage = linkages_from(masked, [sol])[0]
+        assert not validate(linkage), (masked, sol)
+        entries: dict = {}
+        for w, d in zip(masked, sol.choices):
+            if d not in entries.setdefault(w, []):
+                entries[w].append(d)
+        assert linkage in enumerate_bruteforce(masked, Lexicon(entries)), (
+            masked, sol)
+    # complete: an inventory disjunct no read-off matches does not link
+    for d in lex.inventory():
+        if (len(d.left) <= u and len(d.right) < len(words) - u
+                and not any(compatible(h, d) for h in read_off)):
+            assert not enumerate_bruteforce(masked, lex.add("wug", (d,))), (
+                masked, d)
