@@ -14,8 +14,8 @@ discipline, and the ordering rule makes the link set deterministic per
 disjunct choice.  An unknown word is a wildcard whose disjunct is read off
 its links at each solution: what its left and right context link with.
 `enumerate_bruteforce` is an independent oracle: it tries every disjunct
-combination and every pairing of connector occurrences, keeping candidates
-that pass `validate`.
+combination and every pairing of matching connector occurrences, keeping
+candidates that pass `validate`.
 """
 
 from __future__ import annotations
@@ -464,8 +464,9 @@ def enumerate_bruteforce(
     words: Sequence[str], lexicon: Lexicon, cap: int = ORACLE_CAP_DEFAULT
 ) -> list[Linkage]:
     """Exhaustive reference enumeration: every disjunct combination, every
-    pairing of rightward with leftward connector occurrences, filtered by
-    `validate`.  Independent of the solver's search; capped for tractability.
+    pairing of rightward with matching leftward connector occurrences,
+    filtered by `validate`.  Independent of the solver's search; capped for
+    tractability.
     """
     words = tuple(words)
     if len(words) > cap:
@@ -492,8 +493,10 @@ def enumerate_bruteforce(
                 return
             lp, lc = left_occ[next_left]
             for r, (rp, rc) in enumerate(right_occ):
-                if used & (1 << r) or rp >= lp:
-                    continue  # rightward connectors link strictly rightward
+                # rightward connectors link strictly rightward, and only
+                # matching connectors can serve one link
+                if used & (1 << r) or rp >= lp or not match(rc, lc):
+                    continue
                 acc.append((rp, rc, lp, lc))
                 yield from pairings(next_left + 1, used | (1 << r), acc)
                 acc.pop()

@@ -2,21 +2,23 @@
 
 Given a sentence containing words missing from the lexicon, infer the
 disjuncts those words must carry for the sentence to have a valid linkage.
-The search prunes known words' disjuncts first (counting pass, then a
-support pass treating unknowns as wildcards), synthesizes unknown-word
-disjuncts from the connectors the surviving known words actually need, and
-finally filters hypotheses against the lexicon's disjunct inventory.  Every
-elimination and hypothesis is recorded in a replayable trace.
+One pipeline: prune known disjuncts by counting, then one `solve` with the
+unknown words as wildcards keeps the known disjuncts some linkage uses and
+synthesizes each unknown word's disjunct from its links; the hypotheses are
+filtered against the lexicon's disjunct inventory, and each surviving
+joint's witness is read off that same solve.  Every elimination and
+hypothesis is recorded in a replayable trace.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .lexicon import Disjunct, Lexicon, check_word
-from .linker import Linkage, SolveOutcome, compatible, linkages_from, solve
+from .linker import (Link, Linkage, Solution, SolveOutcome, compatible,
+                     connector_assignment, link_label, linkages_from, solve)
 
 
 class NoSolutionError(ValueError):
@@ -162,52 +164,54 @@ def _ranked(keys: Iterable[tuple], i: int, rank) -> tuple[Disjunct, ...]:
     return tuple(sorted({key[i] for key in keys}, key=rank))
 
 
-def _joints_from(outcome: SolveOutcome, unknown: Sequence[int]):
-    """Distinct joint assignments with their witness link sets, in discovery
-    order; each joint keeps its canonically smallest witness."""
-    joints: dict[tuple, tuple] = {}
+def _joints_from(outcome: SolveOutcome, unknown: Sequence[int]
+                 ) -> dict[tuple, Solution]:
+    """Distinct joint assignments in discovery order, each with its
+    canonically smallest solution."""
+    joints: dict[tuple, Solution] = {}
     for sol in outcome.solutions:
         key = tuple(sol.choices[p] for p in unknown)
-        if key not in joints or sol.links < joints[key]:
-            joints[key] = sol.links
+        if key not in joints or sol.links < joints[key].links:
+            joints[key] = sol
     return joints
 
 
-def filter_by_inventory(hyps: Sequence[Disjunct], lexicon: Lexicon
-                        ) -> tuple[Disjunct, ...]:
+def filter_by_inventory(hyps: Sequence[Disjunct],
+                        inventory: Sequence[Disjunct]) -> tuple[Disjunct, ...]:
     """Hypotheses already used by some known word, input order preserved.
 
     Membership is connector-match compatibility, not structural equality: a
     synthesized ((D) (Ss)) is accepted by an inventory ((Ds) (Ss)).
     """
-    inventory = lexicon.inventory()
     return tuple(
         h for h in hyps if any(compatible(h, d) for d in inventory)
     )
 
 
-def _witness_linkage(words, pruned, joint, lexicon, substitute: bool
-                     ) -> Optional[Linkage]:
-    """Re-parse with the joint's disjuncts fixed at the unknown positions.
-    When `substitute` is set, each hypothesis is replaced by its compatible
-    inventory forms so links carry the lexicon's subscripts."""
-    n = len(words)
-    candidates: list = [None] * n
-    for p in range(n):
-        if p in joint:
-            h = joint[p]
-            if substitute:
-                forms = [d for d in lexicon.inventory() if compatible(h, d)]
-                candidates[p] = tuple(forms) or (h,)
-            else:
-                candidates[p] = (h,)
-        else:
-            candidates[p] = pruned[p]
-    outcome = solve(words, candidates)
-    if not outcome.solutions:
-        return None
-    best = min(outcome.solutions, key=lambda s: s.links)
-    return linkages_from(words, [best])[0]
+def _substituted(witness: Linkage, unknown: Sequence[int],
+                 inventory: Sequence[Disjunct]) -> Linkage:
+    """The witness with each unknown word's read-off disjunct replaced by
+    the compatible inventory form giving the smallest links (the first in
+    inventory order on ties), so the links carry the lexicon's subscripts."""
+    slots = connector_assignment(witness)
+    choices = list(witness.choices)
+    labels = {}
+    for p in unknown:
+        h = choices[p]
+
+        def relabelled(form):
+            """p's (link, label) pairs with form at p, in link order."""
+            return sorted(
+                (slots[(p, side, i)], link_label(c, f))
+                for side, cs, fs in (("left", h.left, form.left),
+                                     ("right", h.right, form.right))
+                for i, (c, f) in enumerate(zip(cs, fs)))
+
+        choices[p] = min((d for d in inventory if compatible(h, d)),
+                         key=relabelled)
+        labels.update(relabelled(choices[p]))
+    return Linkage(witness.words, choices, tuple(
+        Link(l.left, l.right, labels.get(l, l.label)) for l in witness.links))
 
 
 def acquire_syntax(
@@ -217,7 +221,7 @@ def acquire_syntax(
     max_unknowns: int = 2,
     filter_on: bool = True,
 ) -> AcquisitionResult:
-    """Full acquisition pipeline: prune, infer, filter, witness.
+    """Full pipeline: prune, one solve, synthesize, filter, witness read-off.
 
     Unknown words are the ones absent from the lexicon.  With no unknowns
     the sentence is simply parsed.  Raises LexiconError for an unknown
@@ -241,7 +245,9 @@ def acquire_syntax(
             % (len(unknown), max_unknowns,
                ", ".join(words[p] for p in unknown)))
 
-    blind = max(len(lexicon.inventory()), 1) ** len(unknown)
+    # once per call: the blind count, the filter and the witnesses read it
+    inventory = lexicon.inventory() if unknown else ()
+    blind = max(len(inventory), 1) ** len(unknown)
     for entry in known.values():
         blind *= max(len(entry), 1)
 
@@ -277,7 +283,7 @@ def acquire_syntax(
     novel = False
     if filter_on:
         # one inventory check for all the distinct hypotheses (counts' keys)
-        kept = set(filter_by_inventory(tuple(counts), lexicon))
+        kept = set(filter_by_inventory(tuple(counts), inventory))
         surviving = [key for key in ordered_joints
                      if all(h in kept for h in key)]
         if surviving:
@@ -296,18 +302,12 @@ def acquire_syntax(
     hypotheses = {p: _ranked(surviving, i, hyp_key)
                   for i, p in enumerate(unknown)}
 
-    joints = []
-    linkages = []
-    for key in surviving:
-        joint = dict(zip(unknown, key))
-        witness = _witness_linkage(
-            words, pruned, joint, lexicon,
-            substitute=filter_on and not novel)
-        if witness is None:  # cannot happen for a sound joint
-            continue
-        joints.append(joint)
-        linkages.append(witness)
+    # each joint's witness is its smallest solution of the pruning solve
+    linkages = [linkages_from(words, [joint_map[key]])[0] for key in surviving]
+    if filter_on and not novel:
+        linkages = [_substituted(l, unknown, inventory) for l in linkages]
 
     return AcquisitionResult(
         words, tuple(unknown), hypotheses, prefilter, pruned,
-        tuple(joints), linkages, novel, tuple(trace), stats)
+        tuple(dict(zip(unknown, key)) for key in surviving), linkages,
+        novel, tuple(trace), stats)

@@ -331,7 +331,7 @@ def _grammars(draw):
 
 # derandomized: the oracle's cost varies by orders of magnitude between
 # grammars, and a fixed example set keeps the test's time fixed
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=500, deadline=None, derandomize=True)
 @given(case=_grammars())
 def test_solve_agrees_with_oracle_on_random_grammars(case):
     lex, words, u = case

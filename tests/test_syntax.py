@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from lexacq.lexicon import (Connector, Disjunct, Lexicon, LexiconError,
                             parse_lexicon)
-from lexacq.linker import SentenceTooLongError, compatible, parse
+from lexacq.linker import (SentenceTooLongError, compatible, linkages_from,
+                           parse, solve, validate)
 from lexacq.syntax import (
     NoSolutionError,
     TooManyUnknownsError,
@@ -84,7 +85,7 @@ def test_acquire_synthesizes_bare_connectors(lexicon):
 
 def test_filter_by_inventory_uses_match_compatibility(lexicon):
     kept = filter_by_inventory(
-        [D("((D) (Ss))"), D("((D) (Os,Ss))")], lexicon)
+        [D("((D) (Ss))"), D("((D) (Os,Ss))")], lexicon.inventory())
     assert kept == (D("((D) (Ss))"),)
 
 
@@ -295,13 +296,14 @@ def _per_hypothesis_filter(words, lexicon):
     joint and again for the trace."""
     unfiltered = acquire_syntax(words, lexicon, filter_on=False)
     unknown = unfiltered.unknown_positions
+    inventory = lexicon.inventory()
     joints = [tuple(j[p] for p in unknown) for j in unfiltered.joints]
     surviving = [key for key in joints
-                 if all(filter_by_inventory((h,), lexicon) for h in key)]
+                 if all(filter_by_inventory((h,), inventory) for h in key)]
     if not surviving:
         return joints, [], True
     eliminated = [(p, h) for p in unknown for h in unfiltered.prefilter[p]
-                  if not filter_by_inventory((h,), lexicon)]
+                  if not filter_by_inventory((h,), inventory)]
     return surviving, eliminated, False
 
 
@@ -350,3 +352,117 @@ def test_inventory_check_keeps_one_joint_of_three(lexicon):
         False)
     assert _per_hypothesis_filter(words, lexicon) == expected
     assert _filtered(words, lexicon) == expected
+
+
+# --- witnesses read off the pruning solve --------------------------------------
+
+
+def _witness_linkage(words, pruned, joint, lexicon, substitute):
+    """Reference: re-parse with the joint's disjuncts fixed at the unknown
+    positions.  When `substitute` is set, each hypothesis is replaced by its
+    compatible inventory forms so links carry the lexicon's subscripts."""
+    n = len(words)
+    candidates = [None] * n
+    for p in range(n):
+        if p in joint:
+            h = joint[p]
+            if substitute:
+                forms = [d for d in lexicon.inventory() if compatible(h, d)]
+                candidates[p] = tuple(forms) or (h,)
+            else:
+                candidates[p] = (h,)
+        else:
+            candidates[p] = pruned[p]
+    outcome = solve(words, candidates)
+    if not outcome.solutions:
+        return None
+    best = min(outcome.solutions, key=lambda s: s.links)
+    return linkages_from(words, [best])[0]
+
+
+def _links_unknowns(linkage, unknown):
+    return any(l.left in unknown and l.right in unknown for l in linkage.links)
+
+
+def test_witness_links_no_two_unknown_words(lexicon):
+    words = "wug eats wug eats corn".split()
+    result = acquire_syntax(words, lexicon)
+    joint = {0: D("(( ) (Os,Ss))"), 2: D("((O) (Ss))")}
+    witness = result.linkages[result.joints.index(joint)]
+    # a re-parse with the joint fixed links the two wugs to each other
+    reparsed = _witness_linkage(words, result.pruned_known, joint, lexicon,
+                                substitute=False)
+    assert (0, 2, "Os") in reparsed.link_set()
+    assert witness.link_set() == {
+        (0, 1, "Ss"), (0, 4, "Os"), (1, 2, "O"), (2, 3, "Ss")}
+
+
+def test_witness_is_the_joints_smallest_solution():
+    # wug links only with aa's A either way; aa's C links to cc in the
+    # first solution found and to bb in the smaller one
+    lex = parse_lexicon("""
+        aa: (( ) (C,A))
+        bb: (( ) (D)) | ((C) (D))
+        cc: ((D,C) ( )) | ((D) ( ))
+    """)
+    words = "aa wug bb cc".split()
+    result = acquire_syntax(words, lex, filter_on=False)
+    assert result.joints[0] == {1: D("((A) ( ))")}
+    assert result.linkages[0].link_set() == {
+        (0, 1, "A"), (0, 2, "C"), (2, 3, "D")}
+    assert result.linkages[0] == _witness_linkage(
+        words, result.pruned_known, result.joints[0], lex, substitute=False)
+
+
+def test_witness_takes_the_inventory_form_with_the_smallest_links():
+    lex = parse_lexicon("""
+        xx: (( ) (A))
+        yy: (( ) (B))
+        zz: (( ) (Cc))
+        ww: (( ) (E))
+        pp: ((Ba,Az) ( )) | ((Bz,Aa) ( )) | ((E,Cc) ( )) | ((E,C) ( ))
+    """)
+    # links are ordered by position, so xx's label decides, although
+    # ((Ba,Az) ( )) comes first in the inventory
+    words = "xx yy wug".split()
+    result = acquire_syntax(words, lex)
+    assert result.linkages[0].choices[2] == D("((Bz,Aa) ( ))")
+    assert result.linkages[0].link_set() == {(0, 2, "Aa"), (1, 2, "Bz")}
+    assert result.linkages[0] == _witness_linkage(
+        words, result.pruned_known, result.joints[0], lex, substitute=True)
+    # both forms give the same links: the first in inventory order wins
+    words = "zz ww wug".split()
+    result = acquire_syntax(words, lex)
+    assert result.linkages[0].choices[2] == D("((E,C) ( ))")
+    assert result.linkages[0].link_set() == {(0, 2, "Cc"), (1, 2, "E")}
+    assert result.linkages[0] == _witness_linkage(
+        words, result.pruned_known, result.joints[0], lex, substitute=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=_sentences_with_unknowns(), filter_on=st.booleans())
+@example(words=["the", "snipe", "eats", "meat"], filter_on=True)
+@example(words=["the", "big", "snipe", "eats", "the", "wug"], filter_on=True)
+@example(words=["wug", "eats", "wug", "eats", "corn"], filter_on=False)
+def test_witness_read_off_equals_reparse(lexicon, words, filter_on):
+    try:
+        result = acquire_syntax(words, lexicon, filter_on=filter_on)
+    except NoSolutionError:
+        return
+    unknown = result.unknown_positions
+    substitute = filter_on and not result.novel
+    inventory = lexicon.inventory()
+    assert len(result.linkages) == len(result.joints)
+    for joint, witness in zip(result.joints, result.linkages):
+        assert validate(witness) == []
+        assert not _links_unknowns(witness, unknown)
+        for p in unknown:
+            if substitute:
+                assert witness.choices[p] in inventory
+                assert compatible(joint[p], witness.choices[p])
+            else:
+                assert witness.choices[p] == joint[p]
+        reference = _witness_linkage(words, result.pruned_known, joint,
+                                     lexicon, substitute)
+        if not _links_unknowns(reference, unknown):
+            assert witness == reference
