@@ -162,7 +162,13 @@ class Lexicon:
                 merged.append(d)
         table = dict(self._entries)
         table[word] = tuple(merged)
-        out = Lexicon.__new__(Lexicon)
+        return Lexicon._of(table)
+
+    @classmethod
+    def _of(cls, table: dict) -> "Lexicon":
+        """A lexicon of a table of disjunct tuples whose words and entries
+        are already checked."""
+        out = cls.__new__(cls)
         out._entries = table
         return out
 
@@ -363,7 +369,11 @@ def _read_lexicon(text: str) -> Optional[dict[str, list[Disjunct]]]:
 def parse_lexicon(text: str) -> Lexicon:
     """Parse lexicon text.  Raises LexiconError with a line number."""
     entries = _read_lexicon(text)
-    return Lexicon(_walk_lexicon(text) if entries is None else entries)
+    if entries is None:
+        entries = _walk_lexicon(text)
+    # both readers check the words, that entries are non-empty and that
+    # their disjuncts are distinct
+    return Lexicon._of({word: tuple(ds) for word, ds in entries.items()})
 
 
 def serialize_lexicon(lexicon: Lexicon) -> str:

@@ -230,9 +230,11 @@ class TaggedDisjunct:
 
 
 class SemanticLexicon:
-    """Immutable map from word to its ordered tagged observations."""
+    """Immutable map from word to its ordered tagged observations.  A parsed
+    value holds each word's checked (body, support) items and builds its
+    observations on the word's first lookup."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_build")
 
     def __init__(self, entries: Optional[Mapping[str, Iterable[TaggedDisjunct]]]
                  = None):
@@ -240,11 +242,31 @@ class SemanticLexicon:
         for word, obs in (entries or {}).items():
             table[word] = tuple(obs)
         self._entries = table
+        self._build = None
+
+    @classmethod
+    def _of(cls, table: dict, build) -> "SemanticLexicon":
+        """A value of a table whose raw items (lists) `build` turns into
+        observation tuples."""
+        out = cls.__new__(cls)
+        out._entries = table
+        out._build = build
+        return out
+
+    def _built(self) -> dict:
+        """The table with every entry built."""
+        for word in list(self._entries):
+            self.lookup(word)
+        return self._entries
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SemanticLexicon):
             return NotImplemented
-        return self._entries == other._entries
+        return self._built() == other._built()
+
+    def __reduce__(self):
+        # a parsed value's builder is a closure: pickle the built table
+        return SemanticLexicon, (self._built(),)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -259,11 +281,14 @@ class SemanticLexicon:
         return sorted(self._entries)
 
     def lookup(self, word: str) -> tuple:
-        return self._entries.get(word, ())
+        obs = self._entries.get(word, ())
+        if type(obs) is list:  # raw items, not built yet
+            obs = self._entries[word] = self._build(obs)
+        return obs
 
     def observe(self, word: str, obs: TaggedDisjunct) -> "SemanticLexicon":
         """Add one observation; identical observations pool their support."""
-        existing = list(self._entries.get(word, ()))
+        existing = list(self.lookup(word))
         for i, prev in enumerate(existing):
             if prev.same_observation(obs):
                 existing[i] = TaggedDisjunct(
@@ -273,9 +298,7 @@ class SemanticLexicon:
             existing.append(obs)
         table = dict(self._entries)
         table[word] = tuple(existing)
-        out = SemanticLexicon.__new__(SemanticLexicon)
-        out._entries = table
-        return out
+        return SemanticLexicon._of(table, self._build)
 
 
 # --- tagging and generalization ----------------------------------------------
@@ -555,10 +578,9 @@ _SEMLEX_ITEM_RE = re.compile(
         _body_pattern("%s(?:_%s)?" % (_CONNECTOR_PATTERN, _NAME_PATTERN))))
 
 
-def _tagged_body(body: str, hiers: ConceptHierarchies
-                 ) -> Optional[TaggedDisjunct]:
+def _tagged_body(body: str, kinds: Mapping[str, str]) -> TaggedDisjunct:
     """The observation, with support 1, of a body the item regex matched;
-    None when a tag names no single concept."""
+    kinds maps each of its tag names to its hierarchy kind."""
     sides, tags = [], []
     for side, tokens in zip(("left", "right"), _body_tokens(body)):
         conns = []
@@ -566,13 +588,8 @@ def _tagged_body(body: str, hiers: ConceptHierarchies
             name, _, tag_name = token.partition("_")
             conns.append(Connector.parse(name))
             if tag_name:
-                try:
-                    kind = hiers.kind_of(tag_name)
-                except HierarchyError:
-                    return None
-                if kind is None:
-                    return None
-                tags.append(((side, i), SemanticTag(tag_name, kind)))
+                tag = SemanticTag(tag_name, kinds[tag_name])
+                tags.append(((side, i), tag))
         sides.append(tuple(conns))
     return TaggedDisjunct(Disjunct(*sides), tuple(tags))
 
@@ -584,14 +601,45 @@ def _with_support(obs: TaggedDisjunct, support: int) -> TaggedDisjunct:
     return out
 
 
-def _read_semlex(text: str, hiers: ConceptHierarchies) -> Optional[dict]:
-    """Observations of a well-formed tagged lexicon, identical ones pooled;
-    None for anything else."""
-    text = _uncomment(text)
-    table: dict[str, list[TaggedDisjunct]] = {}
+def _builder(kinds: Mapping[str, str]):
+    """Turns a word's raw (body, support) items into its observations,
+    identical ones pooled.  One per parsed value: equal bodies, however
+    spaced, share one observation object, so that pooling goes by identity."""
     parsed: dict[str, TaggedDisjunct] = {}  # body text -> observation
     distinct: dict[TaggedDisjunct, TaggedDisjunct] = {}
-    items = pooled = None
+
+    def build(items: list) -> tuple:
+        out: list[TaggedDisjunct] = []
+        pooled = {}  # id of an observation in distinct -> index in out
+        for body, support in items:
+            obs = parsed.get(body)
+            if obs is None:
+                obs = _tagged_body(body, kinds)
+                obs = parsed[body] = distinct.setdefault(obs, obs)
+            i = pooled.get(id(obs))
+            if i is not None:
+                support += out[i].support
+                out[i] = _with_support(obs, support)
+            else:
+                pooled[id(obs)] = len(out)
+                out.append(obs if support == 1 else _with_support(obs, support))
+        return tuple(out)
+
+    return build
+
+
+# in text the item regex accepts, `_` starts a tag name and nothing else
+_TAG_NAME_RE = re.compile(r"_(%s)" % _NAME_PATTERN)
+
+
+def _read_semlex(text: str, hiers: ConceptHierarchies
+                 ) -> Optional[SemanticLexicon]:
+    """A well-formed tagged lexicon, each word's observations built on its
+    first lookup; None for anything else.  Every check that can reject the
+    text runs here, whether or not its entries are ever looked up."""
+    text = _uncomment(text)
+    table: dict[str, list[tuple[str, int]]] = {}  # word -> (body, support)s
+    items = None
     pos = 0
     match = _SEMLEX_ITEM_RE.match
     while (m := match(text, pos)) is not None:
@@ -600,39 +648,32 @@ def _read_semlex(text: str, hiers: ConceptHierarchies) -> Optional[dict]:
             if word in table:
                 return None
             items = table[word] = []
-            pooled = {}  # id of an observation in distinct -> index in items
         elif items is None:
             return None
-        obs = parsed.get(body)
-        if obs is None:
-            obs = _tagged_body(body, hiers)
-            if obs is None:
-                return None
-            # equal bodies spaced differently share one object, so that
-            # pooling can go by identity
-            obs = parsed[body] = distinct.setdefault(obs, obs)
         support = 1 if count is None else int(count)
         if support < 1:
             return None
-        i = pooled.get(id(obs))
-        if i is not None:
-            support += items[i].support
-            items[i] = _with_support(obs, support)
-        else:
-            pooled[id(obs)] = len(items)
-            items.append(obs if support == 1 else _with_support(obs, support))
+        items.append((body, support))
         pos = m.end()
-    return None if text[pos:].strip() else table
+    if text[pos:].strip():
+        return None
+    try:
+        kinds = {name: hiers.kind_of(name)
+                 for name in set(_TAG_NAME_RE.findall(text))}
+    except HierarchyError:  # a name in both hierarchies
+        return None
+    if None in kinds.values():  # a name in neither
+        return None
+    return SemanticLexicon._of(table, _builder(kinds))
 
 
 def parse_semlex(text: str, hiers: ConceptHierarchies) -> SemanticLexicon:
     """Parse a tagged lexicon.  Tags are `_name` connector suffixes whose
     hierarchy kind is resolved against `hiers`; `;support=N` follows a
-    disjunct.  Raises LexiconError with a line number."""
-    table = _read_semlex(text, hiers)
-    if table is None:
-        return _walk_semlex(text, hiers)
-    return SemanticLexicon(table)
+    disjunct.  Raises LexiconError with a line number; a malformed entry
+    is reported here, before any lookup."""
+    semlex = _read_semlex(text, hiers)
+    return _walk_semlex(text, hiers) if semlex is None else semlex
 
 
 def serialize_semlex(semlex: SemanticLexicon) -> str:

@@ -245,16 +245,17 @@ def acquire_syntax(
             % (len(unknown), max_unknowns,
                ", ".join(words[p] for p in unknown)))
 
-    # once per call: the blind count, the filter and the witnesses read it
-    inventory = lexicon.inventory() if unknown else ()
-    blind = max(len(inventory), 1) ** len(unknown)
-    for entry in known.values():
-        blind *= max(len(entry), 1)
-
     pruned, trace, outcome = _prune(words, known, frozenset(unknown))
     if not outcome.solutions:
         raise NoSolutionError(
             "no valid linkage for %r" % (" ".join(words),), trace)
+
+    # once per linkable call: the blind count, the filter and the witnesses
+    # read it
+    inventory = lexicon.inventory() if unknown else ()
+    blind = max(len(inventory), 1) ** len(unknown)
+    for entry in known.values():
+        blind *= max(len(entry), 1)
     stats = {"explored_nodes": outcome.nodes, "blind_candidates": blind}
 
     if not unknown:

@@ -376,6 +376,29 @@ def test_classify_without_training_data(ws, capsys):
     assert "tagged usages" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verbs, entry, message", [
+    ("", "zebra: ((Ds) (Ss_unicorn))", "tag 'unicorn' is in neither hierarchy"),
+    ("action > cow\n", "zebra: ((Ds) (Ss_cow))",
+     "'cow' appears in both hierarchies"),
+    ("", "zebra: ((Ds) (Ss_animal)) ;support=0", "bad support count '0'"),
+    ("", "meat: ((Os) ( ))", "duplicate entry for 'meat'"),
+])
+def test_classify_rejects_a_bad_entry_it_does_not_read(ws, capsys, verbs,
+                                                       entry, message):
+    # "the wug eats corn" reads only the entry of eats
+    assert run(ws, "train", str(ws / "sample_corpus.txt")) == 0
+    with open(ws / "verb_hierarchy.txt", "a", encoding="utf-8") as fh:
+        fh.write(verbs)
+    semlex = ws / "semantic_lexicon.lg"
+    lines = semlex.read_text(encoding="utf-8").count("\n")
+    with open(semlex, "a", encoding="utf-8") as fh:
+        fh.write(entry + "\n")
+    capsys.readouterr()
+    assert run(ws, "classify", "the wug eats corn") == 2
+    assert capsys.readouterr() == (
+        "", "error: line %d: %s\n" % (lines + 1, message))
+
+
 def test_usage_error_exit_code(ws):
     with pytest.raises(SystemExit) as info:
         main(["bogus-command"])
@@ -429,3 +452,59 @@ def test_fuzzed_commands_exit_with_a_documented_code(lexicon, sentence):
             parse_lexicon(written.decode("utf-8"))
             assert run(ws, "acquire", "--write", sentence) == 0
             assert lexicon_path.read_bytes() == written
+
+
+# the sample data's names, lexicon words among them, for each hierarchy
+_NOUN_NAMES = ("thing", "animal", "food", "cow", "meat", "corn", "condor",
+               "car", "gasoline", "the", "big")
+_VERB_NAMES = ("action", "consume", "eats", "wug")
+_MALFORMED_LINES = ("thing", "thing > ", "> cow", "Thing > cow",
+                    "thing > 3rd", "thing > cow > meat", "thing > thing",
+                    "# a comment", "")
+
+
+@st.composite
+def _hierarchy_texts(draw, own, other):
+    """A random tree over own names, now and then with one of the other
+    hierarchy's names or a malformed line put in."""
+    names = draw(st.lists(st.sampled_from(own), min_size=1, max_size=8,
+                          unique=True))
+    shared = draw(st.sampled_from(other))
+    if draw(st.integers(0, 3)) == 0:
+        names.insert(draw(st.integers(0, len(names))), shared)
+    lines = ["%s > %s" % (draw(st.sampled_from(names[:i])), child)
+             for i, child in enumerate(names[1:], start=1)]
+    if not lines:
+        lines.append("%s > %s" % (names[0], names[0] + "s"))
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(_MALFORMED_LINES)))
+    return "\n".join(lines) + "\n"
+
+
+_HIERARCHY_PAIRS = st.none() | st.tuples(
+    _hierarchy_texts(_NOUN_NAMES, _VERB_NAMES),
+    _hierarchy_texts(_VERB_NAMES, _NOUN_NAMES))
+
+
+@settings(max_examples=80, deadline=None)
+@given(trained=_HIERARCHY_PAIRS, edited=_HIERARCHY_PAIRS)
+def test_fuzzed_hierarchies_exit_with_a_documented_code(trained, edited):
+    """train, then classify, on random hierarchies; `edited` replaces them
+    between the two, so that trained tags may no longer resolve.  None
+    leaves the hierarchies as they are, the sample ones at first."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ws = Path(tmp)
+
+        def write(hierarchies):
+            for name, text in zip(("noun_hierarchy.txt", "verb_hierarchy.txt"),
+                                  hierarchies or ()):
+                (ws / name).write_text(text, encoding="utf-8")
+
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(["init", tmp]) == 0
+            write(trained)
+            assert run(ws, "train", str(ws / "sample_corpus.txt")) in (0, 1, 2)
+            write(edited)
+            assert run(ws, "classify", "the wug eats corn") in (0, 1, 2)

@@ -5,9 +5,13 @@ to a token walker, which reports the error and its line.  The error table
 pins the message and line of every kind of malformed input; the properties
 check that serialized values read back equal, however the text is spaced,
 commented or split across lines, and that the two paths never disagree.
+A parsed tagged lexicon builds a word's observations on its first lookup;
+the eager reader it replaced is kept here as the reference.
 """
 
+import pickle
 import re
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -23,14 +27,19 @@ from lexacq.lexicon import (
     parse_lexicon,
     serialize_lexicon,
 )
+from lexacq import semantics
+from lexacq.lexicon import _body_tokens, _uncomment
 from lexacq.semantics import (
+    _SEMLEX_ITEM_RE,
     ConceptHierarchies,
     ConceptHierarchy,
+    HierarchyError,
     SemanticLexicon,
     SemanticTag,
     TaggedDisjunct,
     _read_semlex,
     _walk_semlex,
+    _with_support,
     parse_semlex,
     serialize_semlex,
 )
@@ -112,6 +121,7 @@ LEXICON_ERRORS = [
      'line 4: unexpected end of input', 4),
 ]
 
+_GOOD_ENTRIES = "eats: ((Ss_animal) (O_food))\nmeat: ((Os_eats) ( ))\n"
 SEMLEX_ERRORS = [
     # bad character
     ('eats: ((Ss_animal) (O)) @',
@@ -177,6 +187,15 @@ SEMLEX_ERRORS = [
      'line 1: unexpected end of input', 1),
     ('eats: ((Ss) (O)) |',
      'line 1: unexpected end of input', 1),
+    # a bad entry after good ones, checked though no lookup ever reads it
+    (_GOOD_ENTRIES + 'zebra: ((Ds) (Ss_unicorn))',
+     "line 3: tag 'unicorn' is in neither hierarchy", 3),
+    (_GOOD_ENTRIES + 'zebra: ((Ds) (Ss_cow))',
+     "line 3: 'cow' appears in both hierarchies", 3),
+    (_GOOD_ENTRIES + 'zebra: ((Ds) (Ss_animal)) ;support=0',
+     "line 3: bad support count '0'", 3),
+    (_GOOD_ENTRIES + 'meat: ((Os) ( ))',
+     "line 3: duplicate entry for 'meat'", 3),
 ]
 
 
@@ -312,3 +331,126 @@ def test_semlex_pools_equal_observations_spaced_apart():
         " (( Ss ) (O))", HIERS)
     assert [(str(o), o.support) for o in semlex.lookup("eats")] == [
         ("((Ss_animal) (O))", 3), ("((Ss) (O))", 1)]
+
+
+# --- observations built on first lookup ------------------------------------
+
+
+def _eager_tagged_body(body, hiers) -> Optional[TaggedDisjunct]:
+    """Reference: the observation of a matched body, resolving its tags;
+    None when a tag names no single concept."""
+    sides, tags = [], []
+    for side, tokens in zip(("left", "right"), _body_tokens(body)):
+        conns = []
+        for i, token in enumerate(tokens):
+            name, _, tag_name = token.partition("_")
+            conns.append(Connector.parse(name))
+            if tag_name:
+                try:
+                    kind = hiers.kind_of(tag_name)
+                except HierarchyError:
+                    return None
+                if kind is None:
+                    return None
+                tags.append(((side, i), SemanticTag(tag_name, kind)))
+        sides.append(tuple(conns))
+    return TaggedDisjunct(Disjunct(*sides), tuple(tags))
+
+
+def _eager_read_semlex(text, hiers) -> Optional[dict]:
+    """Reference: the reader that builds every observation as it reads,
+    identical ones pooled; None for anything but well-formed text."""
+    text = _uncomment(text)
+    table: dict[str, list[TaggedDisjunct]] = {}
+    parsed: dict[str, TaggedDisjunct] = {}  # body text -> observation
+    distinct: dict[TaggedDisjunct, TaggedDisjunct] = {}
+    items = pooled = None
+    pos = 0
+    match = _SEMLEX_ITEM_RE.match
+    while (m := match(text, pos)) is not None:
+        word, body, count = m.groups()
+        if word is not None:
+            if word in table:
+                return None
+            items = table[word] = []
+            pooled = {}  # id of an observation in distinct -> index in items
+        elif items is None:
+            return None
+        obs = parsed.get(body)
+        if obs is None:
+            obs = _eager_tagged_body(body, hiers)
+            if obs is None:
+                return None
+            obs = parsed[body] = distinct.setdefault(obs, obs)
+        support = 1 if count is None else int(count)
+        if support < 1:
+            return None
+        i = pooled.get(id(obs))
+        if i is not None:
+            support += items[i].support
+            items[i] = _with_support(obs, support)
+        else:
+            pooled[id(obs)] = len(items)
+            items.append(obs if support == 1 else _with_support(obs, support))
+        pos = m.end()
+    return None if text[pos:].strip() else table
+
+
+@settings(max_examples=80, deadline=None)
+@given(semlexes, st.randoms(use_true_random=False), st.data())
+def test_semlex_built_on_lookup_equals_eager_reference(semlex, rng, data):
+    spaced = respace(serialize_semlex(semlex), rng)
+    table = _eager_read_semlex(spaced, HIERS)
+    assert table is not None
+    reference = SemanticLexicon(table)
+    present = reference.words()
+    words = st.one_of(names, st.sampled_from(present)) if present else names
+    probes = data.draw(st.lists(words, max_size=8))
+
+    def partly_built():
+        """A fresh parse after the probe lookups, which also check that each
+        word is built once and equals the reference."""
+        value = parse_semlex(spaced, HIERS)
+        for word in probes:
+            obs = value.lookup(word)
+            assert obs == reference.lookup(word)
+            assert value.lookup(word) is obs
+        return value
+
+    value = partly_built()
+    assert value.words() == present
+    assert len(value) == len(reference)
+    assert [w in value for w in probes] == [w in reference for w in probes]
+    assert partly_built() == reference
+    assert reference == partly_built()
+    assert serialize_semlex(partly_built()) == serialize_semlex(reference)
+    assert pickle.loads(pickle.dumps(partly_built())) == reference
+    word, obs = data.draw(words), data.draw(observations())
+    assert partly_built().observe(word, obs) == reference.observe(word, obs)
+
+
+def test_semlex_builds_a_words_observations_on_its_first_lookup(monkeypatch):
+    built = []
+    tagged_body = semantics._tagged_body
+
+    def counting(body, kinds):
+        built.append(body)
+        return tagged_body(body, kinds)
+
+    monkeypatch.setattr(semantics, "_tagged_body", counting)
+    semlex = parse_semlex(
+        "eats: ((Ss_animal) (O)) ;support=2 | ((Ss_animal)  ( O )) |"
+        " ((Ss_animal) (O))\n"
+        "meat: ((Os) ( )) | ((Os_eats) ( ))\n"
+        "cow: ((Ss_animal) (O))\n", HIERS)
+    assert (semlex.words(), len(semlex), "meat" in semlex) == (
+        ["cow", "eats", "meat"], 3, True)
+    assert built == []
+    assert [(str(o), o.support) for o in semlex.lookup("eats")] == [
+        ("((Ss_animal) (O))", 4)]
+    assert built == ["((Ss_animal) (O))", "((Ss_animal)  ( O ))"]
+    # built once; cow's one body was built for eats
+    semlex.lookup("eats"), semlex.lookup("cow"), semlex.lookup("zebra")
+    assert len(built) == 2
+    semlex.lookup("meat")
+    assert built[2:] == ["((Os) ( ))", "((Os_eats) ( ))"]

@@ -138,6 +138,25 @@ def test_acquire_rejects_unlinkable_unknown_pair(lexicon):
         acquire_syntax(["wug", "wug"], lexicon)
 
 
+def test_inventory_is_built_only_for_a_linkable_sentence(lexicon,
+                                                        monkeypatch):
+    built = []
+    inventory = Lexicon.inventory
+
+    def counting(self):
+        built.append(self)
+        return inventory(self)
+
+    monkeypatch.setattr(Lexicon, "inventory", counting)
+    with pytest.raises(NoSolutionError):
+        acquire_syntax("meat eats the snipe".split(), lexicon)
+    assert built == []
+    result = acquire_syntax("the snipe eats meat".split(), lexicon)
+    assert built == [lexicon]
+    # the: 1 disjunct, eats: 2, meat: 6
+    assert result.stats["blind_candidates"] == len(inventory(lexicon)) * 2 * 6
+
+
 def test_acquire_unknown_cap(lexicon):
     with pytest.raises(TooManyUnknownsError):
         acquire_syntax(["wug", "zorp", "blick"], lexicon)
