@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -101,15 +102,28 @@ def _read(path: Path) -> str:
         raise _file_error("read", path, exc) from exc
 
 
+def _file_mode(path: Path) -> int:
+    """The mode of path if it exists, else the one open() would give it."""
+    try:
+        return stat.S_IMODE(path.stat().st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)  # the only way to read it is to set it
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def atomic_write(path: Path, text: str) -> None:
-    """Write text to path via a sibling temp file and rename.  Raises
+    """Write text to path via a sibling temp file and rename; path keeps
+    its mode, or gets the one open() would give a new file.  Raises
     WorkspaceError, leaving path as it was, when it cannot be written."""
     try:
+        mode = _file_mode(path)
         fd, tmp = tempfile.mkstemp(dir=str(path.parent),
                                    prefix=path.name + ".")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
+            os.chmod(tmp, mode)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -424,8 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (EmptySentenceError, UnknownWordError, SentenceTooLongError,

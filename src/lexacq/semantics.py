@@ -209,12 +209,6 @@ class TaggedDisjunct:
                 return tag
         return None
 
-    def tagged_slots(self) -> frozenset:
-        return frozenset(slot for slot, _ in self.tags)
-
-    def same_observation(self, other: "TaggedDisjunct") -> bool:
-        return self.shape == other.shape and self.tags == other.tags
-
     def _side_str(self, side: str) -> str:
         conns = self.shape.left if side == "left" else self.shape.right
         if not conns:
@@ -229,19 +223,41 @@ class TaggedDisjunct:
         return "(%s %s)" % (self._side_str("left"), self._side_str("right"))
 
 
+def _with_support(obs: TaggedDisjunct, support: int) -> TaggedDisjunct:
+    """obs with another support count, without re-checking its tags."""
+    out = object.__new__(TaggedDisjunct)
+    out.__dict__.update(obs.__dict__, support=support)
+    return out
+
+
+def _pooled(observations: Iterable[TaggedDisjunct]) -> tuple:
+    """The observations with those of equal shape and tags pooled into one,
+    kept where the first of them was, with their supports summed."""
+    out: list[TaggedDisjunct] = []
+    at: dict[tuple, int] = {}  # (shape, tags) -> index in out
+    for obs in observations:
+        key = (obs.shape, obs.tags)
+        i = at.get(key)
+        if i is None:
+            at[key] = len(out)
+            out.append(obs)
+        else:
+            out[i] = _with_support(out[i], out[i].support + obs.support)
+    return tuple(out)
+
+
 class SemanticLexicon:
-    """Immutable map from word to its ordered tagged observations.  A parsed
-    value holds each word's checked (body, support) items and builds its
-    observations on the word's first lookup."""
+    """Immutable map from word to its ordered tagged observations, one per
+    shape and tags.  A parsed value holds each word's checked (body,
+    support) items and builds its observations on the word's first
+    lookup."""
 
     __slots__ = ("_entries", "_build")
 
     def __init__(self, entries: Optional[Mapping[str, Iterable[TaggedDisjunct]]]
                  = None):
-        table: dict[str, tuple[TaggedDisjunct, ...]] = {}
-        for word, obs in (entries or {}).items():
-            table[word] = tuple(obs)
-        self._entries = table
+        self._entries = {word: _pooled(obs)
+                         for word, obs in (entries or {}).items()}
         self._build = None
 
     @classmethod
@@ -287,17 +303,10 @@ class SemanticLexicon:
         return obs
 
     def observe(self, word: str, obs: TaggedDisjunct) -> "SemanticLexicon":
-        """Add one observation; identical observations pool their support."""
-        existing = list(self.lookup(word))
-        for i, prev in enumerate(existing):
-            if prev.same_observation(obs):
-                existing[i] = TaggedDisjunct(
-                    prev.shape, prev.tags, prev.support + obs.support)
-                break
-        else:
-            existing.append(obs)
+        """Add one observation, pooled into an equal one if there is one."""
+        pooled = _pooled(self.lookup(word) + (obs,))
         table = dict(self._entries)
-        table[word] = tuple(existing)
+        table[word] = pooled
         return SemanticLexicon._of(table, self._build)
 
 
@@ -342,43 +351,47 @@ def tag_sentence(
 
 def _try_merge(a: TaggedDisjunct, b: TaggedDisjunct,
                hiers: ConceptHierarchies) -> Optional[TaggedDisjunct]:
-    """Merge two observations when every tagged slot generalizes strictly
-    below the root; None when they must stay separate."""
-    if a.shape != b.shape or a.tagged_slots() != b.tagged_slots():
+    """Merge two observations of one shape, tagged at the same slots with
+    tags of the same kinds, when every tag generalizes strictly below the
+    root; None when they must stay separate."""
+    if a.shape != b.shape or len(a.tags) != len(b.tags):
         return None
-    merged = {}
-    for slot, tag_a in a.tags:
-        tag_b = b.tag_at(*slot)
-        if tag_a.kind != tag_b.kind:
+    merged = []
+    for (slot, tag_a), (slot_b, tag_b) in zip(a.tags, b.tags):
+        if slot != slot_b or tag_a.kind != tag_b.kind:
             return None
         h = hiers.get(tag_a.kind)
         general = h.lcs(tag_a.value, tag_b.value)
         if general == h.root:
             return None
-        merged[slot] = SemanticTag(general, tag_a.kind)
-    return TaggedDisjunct(a.shape, tuple(merged.items()),
-                          a.support + b.support)
+        merged.append((slot, SemanticTag(general, tag_a.kind)))
+    return TaggedDisjunct(a.shape, tuple(merged), a.support + b.support)
 
 
 def generalize(semlex: SemanticLexicon,
                hiers: ConceptHierarchies) -> SemanticLexicon:
-    """Greedy pairwise merging per word, insertion order, to a fixpoint."""
+    """Greedy pairwise merging per word: the first mergeable pair in
+    insertion order merges into the earlier item, until no pair merges.
+
+    One pass suffices.  A merge only replaces tags by their least common
+    subsumers, and the LCS of a more general tag with any x is no deeper
+    than before, so a pair that could not merge (different shape, slots
+    or kinds, or an LCS at the root) never can later.  After a merge at
+    (i, j) the scan therefore goes on with the item now at j."""
     table = {}
     for word in semlex.words():
         items = list(semlex.lookup(word))
-        merged_any = True
-        while merged_any:
-            merged_any = False
-            for i in range(len(items)):
-                for j in range(i + 1, len(items)):
-                    merged = _try_merge(items[i], items[j], hiers)
-                    if merged is not None:
-                        items[i] = merged
-                        del items[j]
-                        merged_any = True
-                        break
-                if merged_any:
-                    break
+        i = 0
+        while i < len(items):
+            j = i + 1
+            while j < len(items):
+                merged = _try_merge(items[i], items[j], hiers)
+                if merged is None:
+                    j += 1
+                else:
+                    items[i] = merged
+                    del items[j]
+            i += 1
         table[word] = tuple(items)
     return SemanticLexicon(table)
 
@@ -520,16 +533,15 @@ def _walk_semlex(text: str, hiers: ConceptHierarchies) -> SemanticLexicon:
     """The token walker's reading of a tagged lexicon; it raises
     LexiconError with a line number at the first malformed token or entry."""
     toks = _Tokens(text)
-    out = SemanticLexicon()
-    seen_words = set()
+    entries: dict[str, list[TaggedDisjunct]] = {}
     while toks.peek() is not None:
         line = toks.line
         word = toks.take()
         if not _WORD_RE.match(word):
             raise LexiconError("bad word %r" % (word,), line)
-        if word in seen_words:
+        if word in entries:
             raise LexiconError("duplicate entry for %r" % (word,), line)
-        seen_words.add(word)
+        observations = entries[word] = []
         toks.expect(":")
         while True:
             line = toks.line
@@ -560,12 +572,12 @@ def _walk_semlex(text: str, hiers: ConceptHierarchies) -> SemanticLexicon:
                     raise LexiconError(
                         "bad support count %r" % count_text, count_line)
                 support = int(count_text)
-            out = out.observe(
-                word, TaggedDisjunct(shape, tuple(tags.items()), support))
+            observations.append(
+                TaggedDisjunct(shape, tuple(tags.items()), support))
             if toks.peek() != "|":
                 break
             toks.take()
-    return out
+    return SemanticLexicon(entries)
 
 
 # A word, connector or tag is always followed by whitespace or punctuation
@@ -594,38 +606,18 @@ def _tagged_body(body: str, kinds: Mapping[str, str]) -> TaggedDisjunct:
     return TaggedDisjunct(Disjunct(*sides), tuple(tags))
 
 
-def _with_support(obs: TaggedDisjunct, support: int) -> TaggedDisjunct:
-    """obs with another support count, without re-checking its tags."""
-    out = object.__new__(TaggedDisjunct)
-    out.__dict__.update(obs.__dict__, support=support)
-    return out
-
-
 def _builder(kinds: Mapping[str, str]):
-    """Turns a word's raw (body, support) items into its observations,
-    identical ones pooled.  One per parsed value: equal bodies, however
-    spaced, share one observation object, so that pooling goes by identity."""
+    """Turns a word's raw (body, support) items into its pooled
+    observations.  One per parsed value, so that a body text is read once."""
     parsed: dict[str, TaggedDisjunct] = {}  # body text -> observation
-    distinct: dict[TaggedDisjunct, TaggedDisjunct] = {}
 
-    def build(items: list) -> tuple:
-        out: list[TaggedDisjunct] = []
-        pooled = {}  # id of an observation in distinct -> index in out
-        for body, support in items:
-            obs = parsed.get(body)
-            if obs is None:
-                obs = _tagged_body(body, kinds)
-                obs = parsed[body] = distinct.setdefault(obs, obs)
-            i = pooled.get(id(obs))
-            if i is not None:
-                support += out[i].support
-                out[i] = _with_support(obs, support)
-            else:
-                pooled[id(obs)] = len(out)
-                out.append(obs if support == 1 else _with_support(obs, support))
-        return tuple(out)
+    def observation(body: str, support: int) -> TaggedDisjunct:
+        obs = parsed.get(body)
+        if obs is None:
+            obs = parsed[body] = _tagged_body(body, kinds)
+        return obs if support == 1 else _with_support(obs, support)
 
-    return build
+    return lambda items: _pooled(observation(*item) for item in items)
 
 
 # in text the item regex accepts, `_` starts a tag name and nothing else

@@ -4,6 +4,7 @@ import contextlib
 import errno
 import io
 import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -144,6 +145,33 @@ def test_atomic_write_replaces_content(tmp_path):
     assert list(tmp_path.iterdir()) == [target]
 
 
+@pytest.fixture
+def umask_027():
+    old = os.umask(0o027)
+    yield
+    os.umask(old)
+
+
+def _mode(path):
+    return stat.S_IMODE(path.stat().st_mode)
+
+
+def test_atomic_write_gives_new_files_the_mode_open_would(tmp_path,
+                                                          umask_027):
+    assert main(["init", str(tmp_path)]) == 0
+    for path in tmp_path.iterdir():
+        assert _mode(path) == 0o640, path
+
+
+def test_atomic_write_keeps_the_mode_of_a_replaced_file(tmp_path, umask_027):
+    target = tmp_path / "file.txt"
+    target.write_text("one\n", encoding="utf-8")
+    target.chmod(0o604)
+    atomic_write(target, "two\n")
+    assert target.read_text(encoding="utf-8") == "two\n"
+    assert _mode(target) == 0o604
+
+
 def test_parse_prints_diagram(ws, capsys):
     assert run(ws, "parse", "The condor eats the meat.") == 0
     out = capsys.readouterr().out
@@ -172,6 +200,24 @@ def test_parse_all_linkages(ws, capsys):
     out = capsys.readouterr().out
     assert "linkage 1 of 2:" in out and "linkage 2 of 2:" in out
     assert "+X-+" in out and "+Xs+" in out
+
+
+def test_flags_do_not_carry_over_to_the_next_call(ws, capsys):
+    (ws / "lexicon.lg").write_text(
+        (ws / "lexicon.lg").read_text(encoding="utf-8")
+        + "aa: (( ) (X)) | (( ) (Xs))\nbb: ((X) ( ))\n", encoding="utf-8")
+
+    def out(*argv):
+        assert run(ws, *argv) == 0
+        return capsys.readouterr().out
+
+    plain = [("parse", "aa bb"), ("acquire", "the snipe eats meat")]
+    before = [out(*argv) for argv in plain]
+    flagged = [out("parse", "--all-linkages", "--records", "aa bb"),
+               out("acquire", "--no-filter", "the snipe eats meat")]
+    after = [out(*argv) for argv in plain]
+    assert after == before
+    assert all(f != b for f, b in zip(flagged, before))
 
 
 def test_parse_error_exits(ws, capsys):

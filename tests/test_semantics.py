@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexacq.lexicon import LexiconError, parse_lexicon
 from lexacq.linker import parse
@@ -22,6 +24,7 @@ from lexacq.semantics import (
     serialize_semlex,
     tag_sentence,
 )
+from lexacq.semantics import _try_merge, _walk_semlex
 
 
 def D(text):
@@ -163,6 +166,36 @@ def test_tag_sentence_skips_untaggable_words(lexicon, hierarchies):
         TD("((A,Ds) (Ss))", {("right", 0): SemanticTag("eats", "verb")}),)
 
 
+def test_constructor_pools_equal_observations(hierarchies):
+    a = TD("((Ss) (O))", {("left", 0): SemanticTag("cow", "noun")})
+    b = TD("((Ss) (O))", {("right", 0): SemanticTag("cow", "noun")})
+    a2 = TD("((Ss) (O))", {("left", 0): SemanticTag("cow", "noun")}, 2)
+    semlex = SemanticLexicon({"w": (a, b, a2)})
+    assert semlex.lookup("w") == (TD("((Ss) (O))", a.tags, 3), b)
+    assert parse_semlex(serialize_semlex(semlex), hierarchies) == semlex
+
+
+def test_observe_pools_into_the_first_equal_observation():
+    a = TD("((Ss) ( ))", {("left", 0): SemanticTag("cow", "noun")})
+    b = TD("((Os) ( ))", {("left", 0): SemanticTag("eats", "verb")})
+    c = TD("((Ss) ( ))", {("left", 0): SemanticTag("corn", "noun")})
+    semlex = SemanticLexicon({"w": (a, b)})
+    assert semlex.observe("w", TD("((Ss) ( ))", a.tags, 2)).lookup("w") == (
+        TD("((Ss) ( ))", a.tags, 3), b)
+    assert semlex.observe("w", c).lookup("w") == (a, b, c)
+    assert semlex.observe("v", c).lookup("v") == (c,)
+    assert semlex.lookup("w") == (a, b)  # the value observed into is kept
+
+
+def test_walker_pools_equal_bodies(hierarchies):
+    text = ("w: ((Ss_cow) ( )) | ((Os) ( )) | (( Ss_cow ) ( )) ;support=2"
+            " | ((Ss_cow) ( ))\n")
+    cow = {("left", 0): SemanticTag("cow", "noun")}
+    expected = (TD("((Ss) ( ))", cow, 4), TD("((Os) ( ))", {}))
+    assert _walk_semlex(text, hierarchies).lookup("w") == expected
+    assert parse_semlex(text, hierarchies).lookup("w") == expected
+
+
 def test_tagged_disjunct_str():
     td = TD("((Ss) (O))", {("left", 0): SemanticTag("animal", "noun"),
                            ("right", 0): SemanticTag("food", "noun")}, 2)
@@ -189,6 +222,88 @@ def test_generalize_requires_same_tagged_slots(hierarchies):
     b = TD("((Ss) (O))", {("right", 0): SemanticTag("meat", "noun")})
     semlex = SemanticLexicon({"v": (a, b)})
     assert generalize(semlex, hierarchies).lookup("v") == (a, b)
+
+
+def _restart_generalize(semlex, hiers):
+    """The reference generalize: after every merge the pairwise scan
+    starts again from the first pair."""
+    table = {}
+    for word in semlex.words():
+        items = list(semlex.lookup(word))
+        merged_any = True
+        while merged_any:
+            merged_any = False
+            for i in range(len(items)):
+                for j in range(i + 1, len(items)):
+                    merged = _try_merge(items[i], items[j], hiers)
+                    if merged is not None:
+                        items[i] = merged
+                        del items[j]
+                        merged_any = True
+                        break
+                if merged_any:
+                    break
+        table[word] = tuple(items)
+    return SemanticLexicon(table)
+
+
+_SHAPES = ("((Ss) ( ))", "((Ss) (O))", "((A,Ds) (Ss))")
+
+
+@st.composite
+def _hierarchy(draw, kind, prefix):
+    """A random tree of 2-8 concepts named prefix+a (the root), prefix+b...;
+    each concept's parent is one of the three before it, so that many
+    pairs of concepts meet below the root."""
+    names = [prefix + letter for letter in "abcdefgh"[:draw(st.integers(2, 8))]]
+    edges = ["%s > %s" % (names[draw(st.integers(max(0, i - 3), i - 1))],
+                          names[i])
+             for i in range(1, len(names))]
+    return ConceptHierarchy.parse("\n".join(edges), kind)
+
+
+@st.composite
+def _template(draw):
+    """A shape and the kind (or None) of the tag at each of its slots."""
+    shape = D(draw(st.sampled_from(_SHAPES)))
+    return shape, {(side, i): draw(st.sampled_from((None, "noun", "verb")))
+                   for side, conns in (("left", shape.left),
+                                       ("right", shape.right))
+                   for i in range(len(conns))}
+
+
+@st.composite
+def _semlex_and_hierarchies(draw):
+    """Per-word observations, mostly of one or two templates per word so
+    that many pairs can merge, that may be untagged, tagged at the root
+    or at an interior concept, tagged with either kind at one slot,
+    repeated, and of support 1-3."""
+    hiers = ConceptHierarchies(draw(_hierarchy("noun", "n")),
+                               draw(_hierarchy("verb", "v")))
+    nodes = {kind: sorted(hiers.get(kind).nodes()) for kind in ("noun", "verb")}
+    table = {}
+    for word in ("w1", "w2", "w3")[:draw(st.integers(1, 3))]:
+        templates = draw(st.lists(_template(), min_size=1, max_size=2))
+        items = []
+        for _ in range(draw(st.integers(0, 10))):
+            pick = draw(st.integers(0, 4))
+            if items and pick == 0:
+                items.append(draw(st.sampled_from(items)))
+                continue
+            shape, kinds = (draw(_template()) if pick == 1
+                            else draw(st.sampled_from(templates)))
+            tags = tuple((slot, SemanticTag(draw(st.sampled_from(nodes[k])), k))
+                         for slot, k in kinds.items() if k is not None)
+            items.append(TaggedDisjunct(shape, tags, draw(st.integers(1, 3))))
+        table[word] = items
+    return SemanticLexicon(table), hiers
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_semlex_and_hierarchies())
+def test_one_pass_generalize_equals_restarting_scan(case):
+    semlex, hiers = case
+    assert generalize(semlex, hiers) == _restart_generalize(semlex, hiers)
 
 
 # --- classification ---------------------------------------------------------
