@@ -21,11 +21,9 @@ from .lexicon import (
 from .linker import (
     Link,
     Linkage,
-    OracleCapError,
     SentenceTooLongError,
     UnknownWordError,
     Violation,
-    enumerate_bruteforce,
     linkage_records,
     match,
     parse,
@@ -45,7 +43,6 @@ from .semantics import (
     classify_unknown,
     generalize,
     parse_semlex,
-    refine,
     serialize_semlex,
     tag_sentence,
 )
@@ -75,7 +72,6 @@ __all__ = [
     "Linkage",
     "NoSemanticEvidenceError",
     "NoSolutionError",
-    "OracleCapError",
     "SemanticLexicon",
     "SemanticTag",
     "SentenceTooLongError",
@@ -87,7 +83,6 @@ __all__ = [
     "Violation",
     "acquire_syntax",
     "classify_unknown",
-    "enumerate_bruteforce",
     "filter_by_inventory",
     "generalize",
     "linkage_records",
@@ -95,7 +90,6 @@ __all__ = [
     "parse",
     "parse_lexicon",
     "parse_semlex",
-    "refine",
     "render_diagram",
     "render_trace",
     "serialize_lexicon",

@@ -35,11 +35,11 @@ from .semantics import (
     HierarchyError,
     NoSemanticEvidenceError,
     SemanticLexicon,
+    _tagged_words,
     classify_unknown,
     generalize,
     parse_semlex,
     serialize_semlex,
-    tag_sentence,
 )
 from .syntax import NoSolutionError, TooManyUnknownsError, acquire_syntax, render_trace
 
@@ -74,18 +74,18 @@ class Workspace:
     filter_on: bool = True
 
     def load_lexicon(self) -> Lexicon:
-        return parse_lexicon(_read(self.lexicon_path))
+        return _load(self.lexicon_path, parse_lexicon)
 
     def load_hierarchies(self) -> ConceptHierarchies:
-        nouns = ConceptHierarchy.parse(_read(self.noun_hierarchy_path), "noun")
-        verbs = ConceptHierarchy.parse(_read(self.verb_hierarchy_path), "verb")
+        nouns = _load(self.noun_hierarchy_path, ConceptHierarchy.parse, "noun")
+        verbs = _load(self.verb_hierarchy_path, ConceptHierarchy.parse, "verb")
         return ConceptHierarchies(nouns, verbs)
 
     def load_semlex(self, hiers: ConceptHierarchies) -> SemanticLexicon:
         # The semantic lexicon starts empty; train creates the file.
         if not self.semlex_path.exists():
             return SemanticLexicon()
-        return parse_semlex(_read(self.semlex_path), hiers)
+        return _load(self.semlex_path, parse_semlex, hiers)
 
 
 def _file_error(action: str, path: Path, exc: Exception) -> WorkspaceError:
@@ -100,6 +100,15 @@ def _read(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _file_error("read", path, exc) from exc
+
+
+def _load(path: Path, reader, *args):
+    """reader(text of path, *args); a malformed file's error names it."""
+    text = _read(path)
+    try:
+        return reader(text, *args)
+    except (LexiconError, HierarchyError) as exc:
+        raise WorkspaceError("%s: %s" % (path, exc)) from exc
 
 
 def _file_mode(path: Path) -> int:
@@ -330,6 +339,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     hiers = ws.load_hierarchies()
     semlex = ws.load_semlex(hiers)
     corpus = _read(Path(args.corpus))
+    observed = []  # (word, observation) pairs of the whole corpus
     trained = 0
     for lineno, raw in enumerate(corpus.splitlines(), start=1):
         line = raw.strip()
@@ -353,9 +363,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         if not linkages:
             print("error: line %d: no valid linkage" % lineno, file=sys.stderr)
             return 1
-        semlex = tag_sentence(linkages[0], hiers, semlex, lexicon)
+        observed.extend(_tagged_words(linkages[0], hiers))
         trained += 1
-    semlex = generalize(semlex, hiers)
+    semlex = generalize(semlex._observed(observed), hiers)
     atomic_write(ws.semlex_path, serialize_semlex(semlex))
     print(
         "trained on %d sentence(s); semantic lexicon has %d word(s): %s"

@@ -312,7 +312,8 @@ def _walk_lexicon(text: str) -> dict[str, list[Disjunct]]:
 # at any `str.splitlines` boundary.  Text they do not accept goes to the
 # walker, which reports the error and its line.
 
-_COMMENT_RE = re.compile(r"#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
+_LINE_BREAKS = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"  # of str.splitlines
+_COMMENT_RE = re.compile(r"#[^%s]*" % _LINE_BREAKS)
 
 
 def _uncomment(text: str) -> str:

@@ -13,9 +13,6 @@ down the recursion, never mutated.  Planarity is exactly the stack
 discipline, and the ordering rule makes the link set deterministic per
 disjunct choice.  An unknown word is a wildcard whose disjunct is read off
 its links at each solution: what its left and right context link with.
-`enumerate_bruteforce` is an independent oracle: it tries every disjunct
-combination and every pairing of matching connector occurrences, keeping
-candidates that pass `validate`.
 """
 
 from __future__ import annotations
@@ -25,8 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .lexicon import Connector, Disjunct, Lexicon, LexiconError
-
-ORACLE_CAP_DEFAULT = 7
 
 # The search recurses once per word; the cap keeps it well below Python's
 # default recursion limit of 1000 frames.
@@ -40,10 +35,6 @@ class UnknownWordError(LookupError):
         super().__init__("unknown word %r at position %d" % (word, position))
         self.word = word
         self.position = position
-
-
-class OracleCapError(ValueError):
-    """Sentence is longer than the brute-force enumerator allows."""
 
 
 class SentenceTooLongError(ValueError):
@@ -455,63 +446,6 @@ def validate(linkage: Linkage) -> list[Violation]:
                           " and %s" % (link.label, link.left, link.right,
                                        cl, cr)))
     return violations
-
-
-# --- brute-force oracle ---------------------------------------------------
-
-
-def enumerate_bruteforce(
-    words: Sequence[str], lexicon: Lexicon, cap: int = ORACLE_CAP_DEFAULT
-) -> list[Linkage]:
-    """Exhaustive reference enumeration: every disjunct combination, every
-    pairing of rightward with matching leftward connector occurrences,
-    filtered by `validate`.  Independent of the solver's search; capped for
-    tractability.
-    """
-    words = tuple(words)
-    if len(words) > cap:
-        raise OracleCapError(
-            "%d words exceeds oracle cap %d" % (len(words), cap))
-    entry_lists = []
-    for i, w in enumerate(words):
-        ds = lexicon.lookup(w)
-        if ds is None:
-            raise UnknownWordError(w, i)
-        entry_lists.append(ds)
-
-    found: dict[tuple, Linkage] = {}
-    for indices in itertools.product(*(range(len(ds)) for ds in entry_lists)):
-        combo = tuple(entry_lists[p][i] for p, i in enumerate(indices))
-        right_occ = [(p, c) for p, d in enumerate(combo) for c in d.right]
-        left_occ = [(p, c) for p, d in enumerate(combo) for c in d.left]
-        if len(right_occ) != len(left_occ):
-            continue  # each link consumes one rightward and one leftward
-
-        def pairings(next_left: int, used: int, acc: list):
-            if next_left == len(left_occ):
-                yield list(acc)
-                return
-            lp, lc = left_occ[next_left]
-            for r, (rp, rc) in enumerate(right_occ):
-                # rightward connectors link strictly rightward, and only
-                # matching connectors can serve one link
-                if used & (1 << r) or rp >= lp or not match(rc, lc):
-                    continue
-                acc.append((rp, rc, lp, lc))
-                yield from pairings(next_left + 1, used | (1 << r), acc)
-                acc.pop()
-
-        for pairing in pairings(0, 0, []):
-            link_objs = tuple(
-                Link(rp, lp, link_label(rc, lc)) for rp, rc, lp, lc in pairing
-            )
-            candidate = Linkage(words, combo, link_objs)
-            if validate(candidate):
-                continue
-            key = (indices, candidate.links)
-            if key not in found:
-                found[key] = candidate
-    return [found[k] for k in sorted(found)]
 
 
 # --- text renderings ------------------------------------------------------

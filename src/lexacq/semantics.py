@@ -11,12 +11,13 @@ of the sentence.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .lexicon import (_CONNECTOR_PATTERN, _NAME_PATTERN, _WORD_RE, Connector,
-                      Disjunct, Lexicon, LexiconError, _body_pattern,
-                      _body_tokens, _Tokens, _uncomment, parse_disjunct_body)
+from .lexicon import (_CONNECTOR_PATTERN, _LINE_BREAKS, _NAME_PATTERN,
+                      _WORD_RE, Connector, Disjunct, Lexicon, LexiconError,
+                      _body_pattern, _body_tokens, _Tokens, _uncomment,
+                      parse_disjunct_body)
 from .linker import (Linkage, UnknownWordError, compatible,
                      connector_assignment)
 from .syntax import acquire_syntax
@@ -57,6 +58,7 @@ class ConceptHierarchy:
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "_interior",
                            frozenset(p for p, _ in self.edges))
+        object.__setattr__(self, "_chains", {})  # name -> ancestors tuple
         if self.kind not in ("noun", "verb"):
             raise HierarchyError("bad hierarchy kind %r" % (self.kind,))
 
@@ -64,35 +66,8 @@ class ConceptHierarchy:
     def parse(cls, text: str, kind: str) -> "ConceptHierarchy":
         """One `parent > child` edge per line; the first line's parent is
         the root.  `#` starts a comment."""
-        parent: dict[str, str] = {}
-        edges: list[tuple[str, str]] = []
-        root = None
-        known: set[str] = set()
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if ">" not in line:
-                raise HierarchyError("expected 'parent > child'", lineno)
-            p, _, c = (part.strip() for part in line.partition(">"))
-            for name in (p, c):
-                if not _WORD_RE.match(name):
-                    raise HierarchyError("bad concept name %r" % name, lineno)
-            if root is None:
-                root = p
-                known.add(root)
-            if p not in known:
-                raise HierarchyError(
-                    "parent %r not introduced yet" % p, lineno)
-            if c in known:
-                raise HierarchyError(
-                    "%r already has a place in the tree" % c, lineno)
-            parent[c] = p
-            known.add(c)
-            edges.append((p, c))
-        if root is None:
-            raise HierarchyError("empty hierarchy")
-        return cls(kind, root, parent, tuple(edges))
+        edges = _read_hierarchy(text) or _walk_hierarchy(text)
+        return cls(kind, edges[0][0], {c: p for p, c in edges}, edges)
 
     def serialize(self) -> str:
         return "".join("%s > %s\n" % e for e in self.edges)
@@ -112,26 +87,82 @@ class ConceptHierarchy:
         self.require(name)
         return name not in self._interior
 
+    def _chain(self, name: str) -> tuple:
+        """ancestors(name) as a tuple, built once per name and value."""
+        chain = self._chains.get(name)
+        if chain is None:
+            self.require(name)
+            up = [name]
+            while up[-1] != self.root:
+                up.append(self.parent[up[-1]])
+            chain = self._chains[name] = tuple(up)
+        return chain
+
     def ancestors(self, name: str) -> list:
         """name and its ancestors up to the root, nearest first."""
-        self.require(name)
-        chain = [name]
-        while chain[-1] != self.root:
-            chain.append(self.parent[chain[-1]])
-        return chain
+        return list(self._chain(name))
 
     def subsumes(self, a: str, b: str) -> bool:
         """True iff a is b or an ancestor of b."""
         self.require(a)
-        return a in self.ancestors(b)
+        return a in self._chain(b)
 
     def lcs(self, a: str, b: str) -> str:
         """Deepest node subsuming both a and b."""
-        above_a = set(self.ancestors(a))
-        for node in self.ancestors(b):
-            if node in above_a:
-                return node
-        return self.root
+        above_a = self._chain(a)
+        return next(node for node in self._chain(b) if node in above_a)
+
+
+def _walk_hierarchy(text: str) -> tuple:
+    """The line loop's reading of hierarchy text; it raises HierarchyError
+    with a line number at the first malformed or misplaced edge."""
+    edges, known = [], set()  # (parent, child)s; the nodes placed so far
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ">" not in line:
+            raise HierarchyError("expected 'parent > child'", lineno)
+        p, _, c = (part.strip() for part in line.partition(">"))
+        for name in (p, c):
+            if not _WORD_RE.match(name):
+                raise HierarchyError("bad concept name %r" % name, lineno)
+        if not edges:
+            known.add(p)  # the first parent is the root
+        if p not in known:
+            raise HierarchyError("parent %r not introduced yet" % p, lineno)
+        if c in known:
+            raise HierarchyError(
+                "%r already has a place in the tree" % c, lineno)
+        known.add(c)
+        edges.append((p, c))
+    if not edges:
+        raise HierarchyError("empty hierarchy")
+    return tuple(edges)
+
+
+# One edge of uncommented text, after any blank lines: `parent > child`,
+# spaced only by whitespace that ends no line, then the line's end.
+_EDGE_RE = re.compile(r"\s*({0}){1}>{1}({0}){1}(?=[{2}]|\Z)".format(
+    _NAME_PATTERN, r"[^\S%s]*" % _LINE_BREAKS, _LINE_BREAKS))
+
+
+def _read_hierarchy(text: str) -> Optional[tuple]:
+    """The edges of well-formed hierarchy text; None for anything else."""
+    text = _uncomment(text)
+    edges, known = [], set()  # (parent, child)s; the nodes placed so far
+    pos = 0
+    match = _EDGE_RE.match
+    while (m := match(text, pos)) is not None:
+        p, c = m.groups()
+        if not edges:
+            known.add(p)
+        if p not in known or c in known:
+            return None
+        known.add(c)
+        edges.append((p, c))
+        pos = m.end()
+    return tuple(edges) if edges and not text[pos:].strip() else None
 
 
 @dataclass(frozen=True)
@@ -178,22 +209,18 @@ class SemanticTag:
     kind: str  # noun | verb
 
 
-def _slot_key(slot: Slot):
-    side, index = slot
-    return (0 if side == "left" else 1, index)
-
-
 @dataclass(frozen=True)
 class TaggedDisjunct:
     """A disjunct whose connectors may carry tags naming what they linked
     to, plus the number of merged observations supporting it."""
 
     shape: Disjunct
-    tags: tuple  # ((slot, SemanticTag), ...) canonically ordered
+    tags: tuple  # ((slot, SemanticTag), ...), left slots first
     support: int = 1
 
     def __post_init__(self):
-        items = sorted(dict(self.tags).items(), key=lambda kv: _slot_key(kv[0]))
+        items = sorted(dict(self.tags).items(),
+                       key=lambda item: (item[0][0] != "left", item[0][1]))
         object.__setattr__(self, "tags", tuple(items))
         for (side, index), _tag in self.tags:
             conns = self.shape.left if side == "left" else self.shape.right
@@ -204,23 +231,14 @@ class TaggedDisjunct:
             raise ValueError("support must be positive")
 
     def tag_at(self, side: str, index: int) -> Optional[SemanticTag]:
-        for slot, tag in self.tags:
-            if slot == (side, index):
-                return tag
-        return None
-
-    def _side_str(self, side: str) -> str:
-        conns = self.shape.left if side == "left" else self.shape.right
-        if not conns:
-            return "( )"
-        parts = []
-        for i, c in enumerate(conns):
-            tag = self.tag_at(side, i)
-            parts.append(str(c) + ("_" + tag.value if tag else ""))
-        return "(" + ",".join(parts) + ")"
+        return dict(self.tags).get((side, index))
 
     def __str__(self) -> str:
-        return "(%s %s)" % (self._side_str("left"), self._side_str("right"))
+        left = [str(c) for c in self.shape.left]
+        right = [str(c) for c in self.shape.right]
+        for (side, index), tag in self.tags:
+            (left if side == "left" else right)[index] += "_" + tag.value
+        return "((%s) (%s))" % (",".join(left) or " ", ",".join(right) or " ")
 
 
 def _with_support(obs: TaggedDisjunct, support: int) -> TaggedDisjunct:
@@ -304,21 +322,26 @@ class SemanticLexicon:
 
     def observe(self, word: str, obs: TaggedDisjunct) -> "SemanticLexicon":
         """Add one observation, pooled into an equal one if there is one."""
-        pooled = _pooled(self.lookup(word) + (obs,))
+        return self._observed([(word, obs)])
+
+    def _observed(self, pairs: Iterable[tuple]) -> "SemanticLexicon":
+        """This value with the (word, observation) pairs added in order;
+        one table copy, and each word's entry pooled once."""
+        new: dict[str, list[TaggedDisjunct]] = {}
+        for word, obs in pairs:
+            new.setdefault(word, []).append(obs)
         table = dict(self._entries)
-        table[word] = pooled
+        for word, observations in new.items():
+            table[word] = _pooled(self.lookup(word) + tuple(observations))
         return SemanticLexicon._of(table, self._build)
 
 
 # --- tagging and generalization ----------------------------------------------
 
 
-def tag_sentence(
-    linkage: Linkage,
-    hiers: ConceptHierarchies,
-    semlex: SemanticLexicon,
-    lexicon: Optional[Lexicon] = None,
-) -> SemanticLexicon:
+def tag_sentence(linkage: Linkage, hiers: ConceptHierarchies,
+                 semlex: SemanticLexicon, lexicon: Optional[Lexicon] = None
+                 ) -> SemanticLexicon:
     """Record, for every noun/verb word of a valid linkage, its disjunct
     with each connector tagged by the noun/verb it linked to.  Words absent
     from both hierarchies (determiners, adjectives) are neither tagged nor
@@ -327,12 +350,14 @@ def tag_sentence(
         for i, w in enumerate(linkage.words):
             if w not in lexicon:
                 raise UnknownWordError(w, i)
-    assignment = connector_assignment(linkage)
-    by_position: dict[int, dict] = {}
-    for (pos, side, index), link in assignment.items():
-        by_position.setdefault(pos, {})[(side, index)] = link
+    return semlex._observed(_tagged_words(linkage, hiers))
 
-    out = semlex
+
+def _tagged_words(linkage: Linkage, hiers: ConceptHierarchies):
+    """Yield tag_sentence's (word, observation) pairs, in sentence order."""
+    by_position: dict[int, dict] = {}
+    for (pos, side, index), link in connector_assignment(linkage).items():
+        by_position.setdefault(pos, {})[(side, index)] = link
     for pos, word in enumerate(linkage.words):
         if hiers.leaf_kind_of(word) is None:
             continue
@@ -344,9 +369,8 @@ def tag_sentence(
             if kind is not None:
                 tags[slot] = SemanticTag(other_word, kind)
         if tags:
-            out = out.observe(
-                word, TaggedDisjunct(linkage.choices[pos], tuple(tags.items())))
-    return out
+            yield word, TaggedDisjunct(linkage.choices[pos],
+                                       tuple(tags.items()))
 
 
 def _try_merge(a: TaggedDisjunct, b: TaggedDisjunct,
@@ -377,7 +401,12 @@ def generalize(semlex: SemanticLexicon,
     subsumers, and the LCS of a more general tag with any x is no deeper
     than before, so a pair that could not merge (different shape, slots
     or kinds, or an LCS at the root) never can later.  After a merge at
-    (i, j) the scan therefore goes on with the item now at j."""
+    (i, j) the scan therefore goes on with the item now at j.
+
+    The result is not pooled again, as it holds no two equal observations:
+    two equal ones with no tag at the root would merge, and one with a tag
+    at the root never merges, so it is one of the input's, which holds no
+    two equal observations either."""
     table = {}
     for word in semlex.words():
         items = list(semlex.lookup(word))
@@ -393,7 +422,7 @@ def generalize(semlex: SemanticLexicon,
                     del items[j]
             i += 1
         table[word] = tuple(items)
-    return SemanticLexicon(table)
+    return SemanticLexicon._of(table, None)
 
 
 # --- classification -----------------------------------------------------------
@@ -486,35 +515,6 @@ def classify_unknown(
             "no linked word has tagged usages for %r"
             % witness.words[unknown_pos])
     return found
-
-
-def refine(existing: Iterable[str], new_obs: Iterable[str],
-           h: ConceptHierarchy) -> set:
-    """Reconcile concept sets from separate encounters of the same word.
-
-    Keeps each concept standing in a subsumption relation (either
-    direction) with some member of every non-empty observation set,
-    minimized to the most specific; when nothing is compatible, falls back
-    to the minimized least-common-subsumer set over one pick per set."""
-    groups = [set(g) for g in (existing, new_obs) if set(g)]
-    for group in groups:
-        for c in group:
-            h.require(c)
-    if not groups:
-        return set()
-    candidates = set().union(*groups)
-    kept = {
-        c for c in candidates
-        if all(any(h.subsumes(m, c) or h.subsumes(c, m) for m in g)
-               for g in groups)
-    }
-    if not kept:
-        picks = groups[0]
-        for group in groups[1:]:
-            picks = {h.lcs(a, b) for a in picks for b in group}
-        kept = picks
-    return {c for c in kept
-            if not any(d != c and h.subsumes(c, d) for d in kept)}
 
 
 # --- tagged-lexicon text format ------------------------------------------------

@@ -15,11 +15,11 @@ from lexacq.lexicon import Connector, Disjunct, parse_lexicon, serialize_lexicon
 from lexacq.linker import (
     Link,
     Linkage,
-    enumerate_bruteforce,
     match,
     parse,
     validate,
 )
+from oracle import enumerate_bruteforce
 from lexacq.semantics import (
     ConceptHierarchy,
     classify_unknown,

@@ -442,7 +442,27 @@ def test_classify_rejects_a_bad_entry_it_does_not_read(ws, capsys, verbs,
     capsys.readouterr()
     assert run(ws, "classify", "the wug eats corn") == 2
     assert capsys.readouterr() == (
-        "", "error: line %d: %s\n" % (lines + 1, message))
+        "", "error: %s: line %d: %s\n" % (semlex, lines + 1, message))
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("lexicon.lg", "the: (( ) (D)\n", "line 1: unexpected end of input"),
+    ("noun_hierarchy.txt", "thing > animal\r\nanimal bird\n",
+     "line 2: expected 'parent > child'"),
+    ("verb_hierarchy.txt", "# no edges\n", "empty hierarchy"),
+    ("semantic_lexicon.lg", "eats: ((Ss) (O))\nmeat: ((Os_unicorn) ( ))\n",
+     "line 2: tag 'unicorn' is in neither hierarchy"),
+])
+@pytest.mark.parametrize("command", ["train", "classify"])
+def test_a_malformed_workspace_file_is_named(ws, capsys, name, text,
+                                             message, command):
+    (ws / name).write_text(text, encoding="utf-8")
+    arg = (str(ws / "sample_corpus.txt") if command == "train"
+           else "the wug eats corn")
+    capsys.readouterr()
+    assert run(ws, command, arg) == 2
+    assert capsys.readouterr() == (
+        "", "error: %s: %s\n" % (ws / name, message))
 
 
 def test_usage_error_exit_code(ws):

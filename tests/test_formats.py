@@ -1,10 +1,12 @@
-"""The lexicon and tagged-lexicon readers: exact errors and round trips.
+"""The lexicon, tagged-lexicon and concept-hierarchy readers: exact errors
+and round trips.
 
 Each reader matches well-formed text item by item and leaves anything else
-to a token walker, which reports the error and its line.  The error table
-pins the message and line of every kind of malformed input; the properties
-check that serialized values read back equal, however the text is spaced,
-commented or split across lines, and that the two paths never disagree.
+to a token walker (a line loop for hierarchies), which reports the error
+and its line.  The error tables pin the message and line of every kind of
+malformed input; the properties check that serialized values read back
+equal, however the text is spaced, commented or split across lines, and
+that the two paths never disagree.
 A parsed tagged lexicon builds a word's observations on its first lookup;
 the eager reader it replaced is kept here as the reference.
 """
@@ -37,7 +39,9 @@ from lexacq.semantics import (
     SemanticLexicon,
     SemanticTag,
     TaggedDisjunct,
+    _read_hierarchy,
     _read_semlex,
+    _walk_hierarchy,
     _walk_semlex,
     _with_support,
     parse_semlex,
@@ -199,6 +203,72 @@ SEMLEX_ERRORS = [
 ]
 
 
+HIERARCHY_ERRORS = [
+    # missing '>'
+    ('thing animal',
+     "line 1: expected 'parent > child'", 1),
+    ('# a comment line\nthing > animal\n\nanimal bird',
+     "line 4: expected 'parent > child'", 4),
+    ('thing > animal # > x\nanimal > bird # ok\nbird # > cow',
+     "line 3: expected 'parent > child'", 3),
+    ('thing > animal\r\nanimal > bird\r\n\r\nbird\r\n',
+     "line 4: expected 'parent > child'", 4),
+    ('thing > animal\x0banimal bird',
+     "line 2: expected 'parent > child'", 2),
+    ('thing > animal # x\x85 bird',
+     "line 2: expected 'parent > child'", 2),
+    ('thing > animal\x1c\x1canimal',
+     "line 3: expected 'parent > child'", 3),
+    ('thing >\x1fanimal\x1f\nanimal bird',
+     "line 2: expected 'parent > child'", 2),
+    # bad name
+    ('Thing > animal',
+     "line 1: bad concept name 'Thing'", 1),
+    ('thing > animal\nanimal > 3rd',
+     "line 2: bad concept name '3rd'", 2),
+    ('thing > ',
+     "line 1: bad concept name ''", 1),
+    ('> cow',
+     "line 1: bad concept name ''", 1),
+    ("thing > don'",
+     'line 1: bad concept name "don\'"', 1),
+    ('thing > cow > meat',
+     "line 1: bad concept name 'cow > meat'", 1),
+    ('thing\t>\tbig cow',
+     "line 1: bad concept name 'big cow'", 1),
+    ('thing > cow\xa0x',
+     "line 1: bad concept name 'cow\\xa0x'", 1),
+    ('thing > animal_x',
+     "line 1: bad concept name 'animal_x'", 1),
+    # parent not introduced yet
+    ('thing > animal\nplant > tree',
+     "line 2: parent 'plant' not introduced yet", 2),
+    ('thing > animal\u2028 plant > tree',
+     "line 2: parent 'plant' not introduced yet", 2),
+    ('thing > animal\n# thing > plant\nplant > tree',
+     "line 3: parent 'plant' not introduced yet", 3),
+    # child already placed
+    ('thing > animal\nthing > animal',
+     "line 2: 'animal' already has a place in the tree", 2),
+    ('thing > animal\r\nanimal > thing',
+     "line 2: 'thing' already has a place in the tree", 2),
+    ('thing > thing',
+     "line 1: 'thing' already has a place in the tree", 1),
+    # no edges
+    ('',
+     "empty hierarchy", None),
+    ('# only a comment\n\n  \t\n # another\r\n',
+     "empty hierarchy", None),
+]
+
+
+@pytest.mark.parametrize("text, message, line", HIERARCHY_ERRORS)
+def test_hierarchy_error_message_and_line(text, message, line):
+    with pytest.raises(HierarchyError) as info:
+        ConceptHierarchy.parse(text, "noun")
+    assert (str(info.value), info.value.line) == (message, line)
+
+
 @pytest.mark.parametrize("text, message, line", LEXICON_ERRORS)
 def test_lexicon_error_message_and_line(text, message, line):
     with pytest.raises(LexiconError) as info:
@@ -303,6 +373,59 @@ def _mutate(text, edit):
     at, cut, insert = edit
     at %= len(text) + 1
     return text[:at] + insert + text[at + cut:]
+
+
+# every str.splitlines boundary, alone or ending a comment or blank lines
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029", " # note\n", "#x\u2028",
+               "\n# a comment line\r\n \t\n"]
+# whitespace that ends no line
+INLINE_SPACES = ["", " ", "  ", "\t", "\x1f", "\xa0", "\u3000"]
+CONCEPTS = ["thing", "animal", "cow", "food", "meat", "don't", "a", "z"]
+
+
+@st.composite
+def hierarchy_texts(draw):
+    """A random tree's edges, one per line, spaced, broken and commented
+    in every way the format allows; now and then an edge is broken across
+    lines or shares its line with the next."""
+    names = draw(st.permutations(CONCEPTS))[:draw(st.integers(2, 7))]
+    spaces = st.sampled_from(INLINE_SPACES * 8 + LINE_BREAKS)
+    ends = st.sampled_from(LINE_BREAKS * 2 + [" "])
+    text = draw(st.sampled_from(["", "\n", "# head\n"]))
+    for i in range(1, len(names)):
+        parent = names[draw(st.integers(0, i - 1))]
+        text += "".join(draw(spaces) + part
+                        for part in (parent, ">", names[i]))
+        text += draw(spaces) + draw(ends)
+    return text
+
+
+hierarchy_mutants = st.tuples(
+    st.integers(0, 200), st.integers(0, 3),
+    st.sampled_from(["", ">", "#", "\n", "\r", "\x0b", "\u2028", " ", "\x1f",
+                     "\xa0", "A", "3", "'", "x", "_", "thing", "cow > z",
+                     "> "]))
+
+
+def _hierarchy_outcome(read, text):
+    try:
+        return read(text)
+    except HierarchyError as exc:
+        return "error", str(exc), exc.line
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hierarchy_texts(), st.lists(hierarchy_mutants, max_size=3))
+def test_hierarchy_reader_agrees_with_line_loop(text, edits):
+    for edit in edits:
+        text = _mutate(text, edit)
+    expected = _hierarchy_outcome(_walk_hierarchy, text)
+    # the regex path accepts exactly what the line loop accepts
+    assert _read_hierarchy(text) == (
+        None if expected[0] == "error" else expected)
+    assert _hierarchy_outcome(
+        lambda t: ConceptHierarchy.parse(t, "noun").edges, text) == expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,12 +11,10 @@ from lexacq.linker import (
     MAX_SENTENCE_WORDS,
     Link,
     Linkage,
-    OracleCapError,
     SentenceTooLongError,
     UnknownWordError,
     compatible,
     connector_assignment,
-    enumerate_bruteforce,
     link_label,
     linkages_from,
     match,
@@ -24,6 +22,7 @@ from lexacq.linker import (
     solve,
     validate,
 )
+from oracle import OracleCapError, enumerate_bruteforce
 
 
 def C(text):

@@ -20,11 +20,10 @@ from lexacq.semantics import (
     classify_unknown,
     generalize,
     parse_semlex,
-    refine,
     serialize_semlex,
     tag_sentence,
 )
-from lexacq.semantics import _try_merge, _walk_semlex
+from lexacq.semantics import _tagged_words, _try_merge, _walk_semlex
 
 
 def D(text):
@@ -306,6 +305,51 @@ def test_one_pass_generalize_equals_restarting_scan(case):
     assert generalize(semlex, hiers) == _restart_generalize(semlex, hiers)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_semlex_and_hierarchies())
+def test_generalize_never_holds_two_equal_observations(case):
+    # so its result needs no pooling
+    semlex, hiers = case
+    out = generalize(semlex, hiers)
+    for word in out.words():
+        keys = [(obs.shape, obs.tags) for obs in out.lookup(word)]
+        assert len(set(keys)) == len(keys)
+
+
+# sentences of the sample lexicon: every one of them parses
+_NOUNS = ("car", "condor", "corn", "cow", "gasoline", "meat")
+_ADJECTIVES = st.sampled_from(["", "big ", "yellow "])
+_SUBJECTS = st.builds("the {}{}".format, _ADJECTIVES, st.sampled_from(_NOUNS))
+_OBJECTS = st.builds("{}{}{}".format, st.sampled_from(["", "the "]),
+                     _ADJECTIVES, st.sampled_from(_NOUNS))
+_SENTENCES = st.builds("{} eats{}".format, _SUBJECTS,
+                       st.just("") | _OBJECTS.map(" {}".format))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(_SENTENCES, max_size=6), st.lists(_SENTENCES, max_size=10))
+def test_one_fold_over_a_corpus_equals_tagging_each_sentence(
+        lexicon, hierarchies, trained, corpus):
+    """train's fold: every (word, observation) pair of the corpus added to
+    a parsed semantic lexicon at once, each word pooled once."""
+    start = SemanticLexicon()
+    for sentence in trained:
+        linkage = parse(sentence.split(), lexicon)[0]
+        start = tag_sentence(linkage, hierarchies, start, lexicon)
+    text = serialize_semlex(generalize(start, hierarchies))
+    linkages = [parse(sentence.split(), lexicon)[0] for sentence in corpus]
+    folded = parse_semlex(text, hierarchies)._observed(
+        pair for linkage in linkages
+        for pair in _tagged_words(linkage, hierarchies))
+    sequential = parse_semlex(text, hierarchies)
+    for linkage in linkages:
+        sequential = tag_sentence(linkage, hierarchies, sequential, lexicon)
+    assert folded == sequential
+    assert serialize_semlex(folded) == serialize_semlex(sequential)
+    assert serialize_semlex(generalize(folded, hierarchies)) == (
+        serialize_semlex(generalize(sequential, hierarchies)))
+
+
 # --- classification ---------------------------------------------------------
 
 
@@ -345,22 +389,6 @@ def test_classify_needs_exactly_one_unknown(lexicon, hierarchies,
     with pytest.raises(ValueError, match="exactly one unknown word"):
         classify_unknown(sentence.split(), lexicon, trained_semlex,
                          hierarchies)
-
-
-def test_refine_narrows_and_reconciles(hierarchies):
-    nouns = hierarchies.nouns
-    assert refine({"animal"}, {"animal"}, nouns) == {"animal"}
-    assert refine({"animal"}, {"bird"}, nouns) == {"bird"}
-    assert refine({"bird"}, {"animal"}, nouns) == {"bird"}
-    assert refine({"animal"}, {"car"}, nouns) == {"thing"}
-    assert refine(set(), {"bird"}, nouns) == {"bird"}
-    assert refine(set(), set(), nouns) == set()
-    assert refine({"animal", "machine"}, {"bird"}, nouns) == {"bird"}
-
-
-def test_refine_requires_known_concepts(hierarchies):
-    with pytest.raises(UnknownConceptError):
-        refine({"unicorn"}, {"bird"}, hierarchies.nouns)
 
 
 # --- tagged-lexicon format ---------------------------------------------------
