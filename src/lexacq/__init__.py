@@ -21,6 +21,7 @@ from .lexicon import (
 from .linker import (
     Link,
     Linkage,
+    SearchBudgetError,
     SentenceTooLongError,
     UnknownWordError,
     Violation,
@@ -72,6 +73,7 @@ __all__ = [
     "Linkage",
     "NoSemanticEvidenceError",
     "NoSolutionError",
+    "SearchBudgetError",
     "SemanticLexicon",
     "SemanticTag",
     "SentenceTooLongError",

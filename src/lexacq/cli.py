@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .lexicon import Lexicon, LexiconError, parse_lexicon, serialize_lexicon
 from .linker import (
+    SearchBudgetError,
     SentenceTooLongError,
     UnknownWordError,
     linkage_records,
@@ -77,8 +78,15 @@ class Workspace:
         return _load(self.lexicon_path, parse_lexicon)
 
     def load_hierarchies(self) -> ConceptHierarchies:
+        """The two hierarchies; a name in both is an error naming both
+        files."""
         nouns = _load(self.noun_hierarchy_path, ConceptHierarchy.parse, "noun")
         verbs = _load(self.verb_hierarchy_path, ConceptHierarchy.parse, "verb")
+        shared = nouns.nodes() & verbs.nodes()
+        if shared:
+            raise WorkspaceError("%s, %s: %r appears in both hierarchies" % (
+                self.noun_hierarchy_path, self.verb_hierarchy_path,
+                min(shared)))
         return ConceptHierarchies(nouns, verbs)
 
     def load_semlex(self, hiers: ConceptHierarchies) -> SemanticLexicon:
@@ -357,7 +365,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-        except SentenceTooLongError as exc:
+        except (SentenceTooLongError, SearchBudgetError) as exc:
             print("error: line %d: %s" % (lineno, exc), file=sys.stderr)
             return 1
         if not linkages:
@@ -456,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (EmptySentenceError, UnknownWordError, SentenceTooLongError,
-            NoSolutionError, TooManyUnknownsError,
+            SearchBudgetError, NoSolutionError, TooManyUnknownsError,
             NoSemanticEvidenceError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

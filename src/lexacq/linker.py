@@ -8,11 +8,13 @@ connector lists dictate.  Cycles are allowed.
 
 The solver (`solve`, behind `parse`) is a depth-first search over the
 sentence left to right whose state is (position, open connectors): the
-stack of open rightward connectors and the links made so far are passed
-down the recursion, never mutated.  Planarity is exactly the stack
-discipline, and the ordering rule makes the link set deterministic per
-disjunct choice.  An unknown word is a wildcard whose disjunct is read off
-its links at each solution: what its left and right context link with.
+stack of open rightward connectors, the links made so far and the
+candidate chosen at each word are passed down the recursion, and the
+failure kinds each subtree witnessed are returned up it; nothing but the
+outcome is mutated.  Planarity is exactly the stack discipline, and the
+ordering rule makes the link set deterministic per disjunct choice.  An
+unknown word is a wildcard whose disjunct is read off its links at each
+solution: what its left and right context link with.
 """
 
 from __future__ import annotations
@@ -26,6 +28,15 @@ from .lexicon import Connector, Disjunct, Lexicon, LexiconError
 # The search recurses once per word; the cap keeps it well below Python's
 # default recursion limit of 1000 frames.
 MAX_SENTENCE_WORDS = 500
+# The search is exponential in the sentence length; the cap bounds the
+# nodes one solve may visit, about 17 times the most any test or benchmark
+# op visits.
+MAX_SEARCH_NODES = 500_000
+
+# The failure kinds a search branch can witness, in the order a pruning
+# reason names them; bit i of a kinds mask stands for FAILURE_KINDS[i].
+FAILURE_KINDS = ("ordering", "exclusion", "connectivity")
+_ORDERING, _EXCLUSION, _CONNECTIVITY = 1, 2, 4
 
 
 class UnknownWordError(LookupError):
@@ -43,6 +54,15 @@ class SentenceTooLongError(ValueError):
     def __init__(self, length: int):
         super().__init__("sentence of %d words exceeds the limit of %d"
                          % (length, MAX_SENTENCE_WORDS))
+
+
+class SearchBudgetError(ValueError):
+    """The search visited more nodes than the solver allows
+    (MAX_SEARCH_NODES)."""
+
+    def __init__(self, budget: int):
+        super().__init__("linkage search exceeds the limit of %d nodes"
+                         % budget)
 
 
 def match(c1: Connector, c2: Connector) -> bool:
@@ -160,16 +180,19 @@ def solve(
     in `unknown` are wildcards that may absorb any open rightward connector
     and may open connectors for later known words to absorb.  A wildcard
     never links to another wildcard: no known requirement would justify the
-    link.  When `collect_causes` is set, each known (position, disjunct)
-    pair taking part in a failed branch is tagged with the failure kinds it
-    witnessed (ordering, exclusion, connectivity).  Raises
-    SentenceTooLongError past MAX_SENTENCE_WORDS words.
+    link.  Each branch returns the failure kinds its subtree witnessed
+    (ordering, exclusion, connectivity); when `collect_causes` is set, each
+    known (position, disjunct) pair is tagged with the kinds of the
+    branches that tried it.  Nothing but the outcome is mutated.  Raises
+    SentenceTooLongError past MAX_SENTENCE_WORDS words and
+    SearchBudgetError past MAX_SEARCH_NODES search nodes.
     """
     n = len(words)
     if n > MAX_SENTENCE_WORDS:
         raise SentenceTooLongError(n)
-    out = SolveOutcome([], causes={} if collect_causes else None)
-    applied: list = []  # (pos, disjunct) pairs on the current path
+    budget = MAX_SEARCH_NODES
+    out = SolveOutcome([])
+    masks: Optional[dict] = {} if collect_causes else None  # (pos, d) -> kinds
 
     # a wildcard may open at most as many connectors as the words after it
     # could ever absorb
@@ -180,64 +203,42 @@ def solve(
             cap += max(len(d.left) for d in candidates[p])
         push_cap[p] = cap
 
-    def blame(kind: str, extra=None) -> None:
-        if out.causes is None:
-            return
-        for key in applied:
-            out.causes.setdefault(key, set()).add(kind)
-        if extra is not None:
-            out.causes.setdefault(extra, set()).add(kind)
-
-    def record_solution(links: tuple) -> None:
-        by_pos = dict(applied)
-        choices = []
-        indices = []
-        for p in range(n):
-            if p in unknown:
-                choices.append(_read_off(p, links))
-                indices.append(None)
-            else:
-                d = by_pos[p]
-                choices.append(d)
-                indices.append(candidates[p].index(d))
-        out.solutions.append(
-            Solution(tuple(indices), tuple(choices), tuple(sorted(links))))
-
     def links_for(p: int, d: Disjunct, stack: tuple):
-        """The links d's left connectors make with the top of the stack;
-        None on failure."""
+        """The links d's left connectors make with the top of the stack, or
+        the kind of its failure."""
         if len(d.left) > len(stack):
-            blame("ordering", (p, d))
-            return None
+            return _ORDERING
         seen = set()
         new_links = []
         for i, a in enumerate(d.left):
             src, conn = stack[-1 - i]
             if src in seen:
-                blame("exclusion", (p, d))
-                return None
+                return _EXCLUSION
             seen.add(src)
             if conn is None:
                 new_links.append((src, p, str(a)))
             elif match(conn, a):
                 new_links.append((src, p, link_label(conn, a)))
             else:
-                blame("ordering", (p, d))
-                return None
+                return _ORDERING
         return tuple(new_links)
 
-    def at(p: int, stack: tuple, links: tuple) -> None:
-        """Search on from word p, given the links made before it and the
-        open rightward connectors: a stack of (source position, Connector,
-        or None for a wildcard's)."""
+    def at(p: int, stack: tuple, links: tuple, chosen: tuple) -> int:
+        """Search on from word p, given the links made before it, the
+        candidate index chosen at each earlier word (None at wildcards) and
+        the open rightward connectors: a stack of (source position,
+        Connector, or None for a wildcard's).  Returns the failure kinds of
+        the subtree."""
         if p == n:
             if stack:
-                blame("ordering")
-            elif len(_reachable(links)) < n:
-                blame("connectivity")
-            else:
-                record_solution(links)
-            return
+                return _ORDERING
+            if len(_reachable(links)) < n:
+                return _CONNECTIVITY
+            out.solutions.append(Solution(chosen, tuple(
+                _read_off(q, links) if i is None else candidates[q][i]
+                for q, i in enumerate(chosen)), tuple(sorted(links))))
+            return 0
+        kinds = 0
         if p in unknown:
             max_k = 0
             seen = set()
@@ -253,21 +254,33 @@ def solve(
                     (src, p, str(c)) for src, c in stack[len(stack) - k:])
                 for j in range(push_cap[p + 1] + 1):
                     out.nodes += 1
-                    at(p + 1, rest + ((p, None),) * j, here)
-            return
-        for d in candidates[p]:
+                    if out.nodes > budget:
+                        raise SearchBudgetError(budget)
+                    kinds |= at(p + 1, rest + ((p, None),) * j, here,
+                                chosen + (None,))
+            return kinds
+        for i, d in enumerate(candidates[p]):
             out.nodes += 1
+            if out.nodes > budget:
+                raise SearchBudgetError(budget)
             new_links = links_for(p, d, stack)
-            if new_links is None:
-                continue
-            applied.append((p, d))
-            at(p + 1,
-               stack[: len(stack) - len(d.left)]
-               + tuple((p, b) for b in d.right),
-               links + new_links)
-            applied.pop()
+            if isinstance(new_links, int):
+                failed = new_links
+            else:
+                failed = at(p + 1,
+                            stack[: len(stack) - len(d.left)]
+                            + tuple((p, b) for b in d.right),
+                            links + new_links, chosen + (i,))
+            if failed and masks is not None:
+                masks[(p, d)] = masks.get((p, d), 0) | failed
+            kinds |= failed
+        return kinds
 
-    at(0, (), ())
+    at(0, (), (), ())
+    if masks is not None:
+        out.causes = {key: {kind for bit, kind in enumerate(FAILURE_KINDS)
+                            if mask >> bit & 1}
+                      for key, mask in masks.items()}
     return out
 
 

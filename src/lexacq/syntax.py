@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .lexicon import Disjunct, Lexicon, check_word
-from .linker import (Link, Linkage, Solution, SolveOutcome, compatible,
-                     connector_assignment, link_label, linkages_from, solve)
+from .linker import (FAILURE_KINDS, Link, Linkage, Solution, SolveOutcome,
+                     compatible, connector_assignment, link_label,
+                     linkages_from, solve)
 
 
 class NoSolutionError(ValueError):
@@ -77,9 +78,6 @@ class AcquisitionResult:
 
 # --- pruning ----------------------------------------------------------------
 
-_CAUSE_PRIORITY = ("ordering", "exclusion", "connectivity")
-
-
 def _count_reason(side: str, available: int) -> str:
     if available == 0:
         return "%s connector unsatisfiable: no words to the %s" % (side, side)
@@ -89,10 +87,9 @@ def _count_reason(side: str, available: int) -> str:
 
 
 def _cause_reason(kinds) -> str:
-    for kind in _CAUSE_PRIORITY:
-        if kind in kinds:
-            return "%s conflict" % kind
-    return "ordering conflict"
+    """The first of the failure kinds in FAILURE_KINDS order, as a reason."""
+    return "%s conflict" % next(
+        (kind for kind in FAILURE_KINDS if kind in kinds), FAILURE_KINDS[0])
 
 
 def _prune(words: tuple[str, ...], known: Mapping[int, tuple[Disjunct, ...]],
@@ -226,8 +223,8 @@ def acquire_syntax(
     Unknown words are the ones absent from the lexicon.  With no unknowns
     the sentence is simply parsed.  Raises LexiconError for an unknown
     word the lexicon could not hold, TooManyUnknownsError over the cap,
-    SentenceTooLongError past the solver's length limit and NoSolutionError
-    for unlinkable sentences.
+    SentenceTooLongError and SearchBudgetError past the solver's length and
+    search limits, and NoSolutionError for unlinkable sentences.
     """
     words = tuple(words)
     known: dict[int, tuple[Disjunct, ...]] = {}

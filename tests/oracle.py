@@ -1,19 +1,25 @@
-"""The brute-force oracle the solver is checked against.
+"""The references the solver is checked against.
 
 `enumerate_bruteforce` tries every disjunct combination and every pairing
 of matching connector occurrences, keeping the candidates that pass
 `validate`.  It is independent of the solver's search, and capped for
 tractability.
+
+`reference_solve` is the earlier form of `linker.solve`: the same search,
+which collects failure causes by pushing each (position, disjunct) pair on
+a shared path and tagging the whole path at every failed branch.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Optional, Sequence
 
-from lexacq.lexicon import Lexicon
-from lexacq.linker import (Link, Linkage, UnknownWordError, link_label, match,
-                           validate)
+from lexacq.lexicon import Disjunct, Lexicon
+from lexacq.linker import (MAX_SENTENCE_WORDS, Link, Linkage,
+                           SentenceTooLongError, Solution, SolveOutcome,
+                           UnknownWordError, _reachable, _read_off,
+                           link_label, match, validate)
 
 ORACLE_CAP_DEFAULT = 7
 
@@ -74,3 +80,126 @@ def enumerate_bruteforce(
             if key not in found:
                 found[key] = candidate
     return [found[k] for k in sorted(found)]
+
+
+def reference_solve(
+    words: Sequence[str],
+    candidates: Sequence[Optional[Sequence[Disjunct]]],
+    unknown: frozenset[int] = frozenset(),
+    collect_causes: bool = False,
+) -> SolveOutcome:
+    """Enumerate every valid linkage by depth-first search.
+
+    `candidates[p]` is the disjunct sequence tried at position p; positions
+    in `unknown` are wildcards that may absorb any open rightward connector
+    and may open connectors for later known words to absorb.  A wildcard
+    never links to another wildcard: no known requirement would justify the
+    link.  When `collect_causes` is set, each known (position, disjunct)
+    pair taking part in a failed branch is tagged with the failure kinds it
+    witnessed (ordering, exclusion, connectivity).  Raises
+    SentenceTooLongError past MAX_SENTENCE_WORDS words.
+    """
+    n = len(words)
+    if n > MAX_SENTENCE_WORDS:
+        raise SentenceTooLongError(n)
+    out = SolveOutcome([], causes={} if collect_causes else None)
+    applied: list = []  # (pos, disjunct) pairs on the current path
+
+    # a wildcard may open at most as many connectors as the words after it
+    # could ever absorb
+    push_cap = [0] * (n + 1)
+    for p in range(n - 1, -1, -1):
+        cap = push_cap[p + 1]
+        if p not in unknown and candidates[p]:
+            cap += max(len(d.left) for d in candidates[p])
+        push_cap[p] = cap
+
+    def blame(kind: str, extra=None) -> None:
+        if out.causes is None:
+            return
+        for key in applied:
+            out.causes.setdefault(key, set()).add(kind)
+        if extra is not None:
+            out.causes.setdefault(extra, set()).add(kind)
+
+    def record_solution(links: tuple) -> None:
+        by_pos = dict(applied)
+        choices = []
+        indices = []
+        for p in range(n):
+            if p in unknown:
+                choices.append(_read_off(p, links))
+                indices.append(None)
+            else:
+                d = by_pos[p]
+                choices.append(d)
+                indices.append(candidates[p].index(d))
+        out.solutions.append(
+            Solution(tuple(indices), tuple(choices), tuple(sorted(links))))
+
+    def links_for(p: int, d: Disjunct, stack: tuple):
+        """The links d's left connectors make with the top of the stack;
+        None on failure."""
+        if len(d.left) > len(stack):
+            blame("ordering", (p, d))
+            return None
+        seen = set()
+        new_links = []
+        for i, a in enumerate(d.left):
+            src, conn = stack[-1 - i]
+            if src in seen:
+                blame("exclusion", (p, d))
+                return None
+            seen.add(src)
+            if conn is None:
+                new_links.append((src, p, str(a)))
+            elif match(conn, a):
+                new_links.append((src, p, link_label(conn, a)))
+            else:
+                blame("ordering", (p, d))
+                return None
+        return tuple(new_links)
+
+    def at(p: int, stack: tuple, links: tuple) -> None:
+        """Search on from word p, given the links made before it and the
+        open rightward connectors: a stack of (source position, Connector,
+        or None for a wildcard's)."""
+        if p == n:
+            if stack:
+                blame("ordering")
+            elif len(_reachable(links)) < n:
+                blame("connectivity")
+            else:
+                record_solution(links)
+            return
+        if p in unknown:
+            max_k = 0
+            seen = set()
+            while max_k < len(stack):
+                src, conn = stack[-1 - max_k]
+                if conn is None or src in seen:
+                    break
+                seen.add(src)
+                max_k += 1
+            for k in range(max_k + 1):
+                rest = stack[: len(stack) - k]
+                here = links + tuple(
+                    (src, p, str(c)) for src, c in stack[len(stack) - k:])
+                for j in range(push_cap[p + 1] + 1):
+                    out.nodes += 1
+                    at(p + 1, rest + ((p, None),) * j, here)
+            return
+        for d in candidates[p]:
+            out.nodes += 1
+            new_links = links_for(p, d, stack)
+            if new_links is None:
+                continue
+            applied.append((p, d))
+            at(p + 1,
+               stack[: len(stack) - len(d.left)]
+               + tuple((p, b) for b in d.right),
+               links + new_links)
+            applied.pop()
+
+    at(0, (), ())
+    return out

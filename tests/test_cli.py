@@ -6,6 +6,7 @@ import io
 import os
 import stat
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from lexacq.cli import (
     tokenize,
 )
 from lexacq.lexicon import parse_lexicon
-from lexacq.linker import MAX_SENTENCE_WORDS
+from lexacq.linker import MAX_SEARCH_NODES, MAX_SENTENCE_WORDS
 
 
 @pytest.fixture
@@ -330,6 +331,49 @@ def test_train_reports_line_of_too_long_sentence(ws, capsys):
     assert not (ws / "semantic_lexicon.lg").exists()
 
 
+@pytest.mark.parametrize("command", ["parse", "acquire"])
+def test_search_past_its_budget_exits_1(ws, capsys, command):
+    # 20 words of an ambiguous grammar: the full search is far past the
+    # budget, which stops it within seconds
+    (ws / "lexicon.lg").write_text(
+        "a: (( ) (X)) | (( ) (X,X)) | (( ) ( ))\n"
+        "b: ((X) (X)) | ((X) ( )) | ((X,X) ( ))\n"
+        "c: ((X) ( )) | (( ) (X)) | ((X) (X))\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert run(ws, command, " ".join((["a", "b", "c"] * 7)[:20])) == 1
+    assert time.perf_counter() - start < 10
+    assert capsys.readouterr() == (
+        "", "error: linkage search exceeds the limit of %d nodes\n"
+        % MAX_SEARCH_NODES)
+
+
+def test_train_reports_line_past_the_search_budget(ws, capsys, monkeypatch):
+    # the first sentence takes 21 search nodes, the second 24
+    monkeypatch.setattr("lexacq.linker.MAX_SEARCH_NODES", 21)
+    corpus = ws / "corpus.txt"
+    corpus.write_text("the condor eats meat\nthe big cow eats yellow corn\n",
+                      encoding="utf-8")
+    assert run(ws, "train", str(corpus)) == 1
+    assert capsys.readouterr().err == (
+        "error: line 2: linkage search exceeds the limit of 21 nodes\n")
+    assert not (ws / "semantic_lexicon.lg").exists()
+
+
+def test_train_rejects_overlapping_hierarchies(ws, capsys):
+    # classify's case is a row of
+    # test_classify_rejects_a_bad_entry_it_does_not_read
+    with open(ws / "verb_hierarchy.txt", "a", encoding="utf-8") as fh:
+        fh.write("action > meat\naction > cow\n")
+    capsys.readouterr()
+    assert run(ws, "train", str(ws / "sample_corpus.txt")) == 2
+    # the first shared name in sorted order
+    assert capsys.readouterr() == ("", "error: %s, %s: 'cow' appears in both"
+                                   " hierarchies\n" % (
+                                       ws / "noun_hierarchy.txt",
+                                       ws / "verb_hierarchy.txt"))
+    assert not (ws / "semantic_lexicon.lg").exists()
+
+
 @pytest.mark.parametrize("command", ["acquire", "classify"])
 def test_negative_max_unknowns_is_usage_error(ws, capsys, command):
     with pytest.raises(SystemExit) as info:
@@ -441,8 +485,11 @@ def test_classify_rejects_a_bad_entry_it_does_not_read(ws, capsys, verbs,
         fh.write(entry + "\n")
     capsys.readouterr()
     assert run(ws, "classify", "the wug eats corn") == 2
-    assert capsys.readouterr() == (
-        "", "error: %s: line %d: %s\n" % (semlex, lines + 1, message))
+    # a name in both hierarchies is caught as they load, before the
+    # semantic lexicon is read, and the error names both files
+    where = ("%s, %s" % (ws / "noun_hierarchy.txt", ws / "verb_hierarchy.txt")
+             if verbs else "%s: line %d" % (semlex, lines + 1))
+    assert capsys.readouterr() == ("", "error: %s: %s\n" % (where, message))
 
 
 @pytest.mark.parametrize("name, text, message", [

@@ -11,6 +11,7 @@ from lexacq.linker import (
     MAX_SENTENCE_WORDS,
     Link,
     Linkage,
+    SearchBudgetError,
     SentenceTooLongError,
     UnknownWordError,
     compatible,
@@ -22,7 +23,7 @@ from lexacq.linker import (
     solve,
     validate,
 )
-from oracle import OracleCapError, enumerate_bruteforce
+from oracle import OracleCapError, enumerate_bruteforce, reference_solve
 
 
 def C(text):
@@ -157,6 +158,16 @@ def test_parse_rejects_sentence_past_length_limit(lexicon):
                        match="sentence of %d words exceeds the limit of %d"
                        % (MAX_SENTENCE_WORDS + 1, MAX_SENTENCE_WORDS)):
         parse(["the"] * (MAX_SENTENCE_WORDS + 1), lexicon)
+
+
+def test_parse_stops_past_the_search_budget(lexicon, monkeypatch):
+    words = "the condor eats meat".split()  # a search of 21 nodes
+    monkeypatch.setattr("lexacq.linker.MAX_SEARCH_NODES", 21)
+    assert len(parse(words, lexicon)) == 1
+    monkeypatch.setattr("lexacq.linker.MAX_SEARCH_NODES", 20)
+    with pytest.raises(SearchBudgetError,
+                       match="linkage search exceeds the limit of 20 nodes"):
+        parse(words, lexicon)
 
 
 def test_parse_single_word_needs_empty_disjunct(lexicon):
@@ -361,3 +372,20 @@ def test_solve_agrees_with_oracle_on_random_grammars(case):
                 and not any(compatible(h, d) for h in read_off)):
             assert not enumerate_bruteforce(masked, lex.add("wug", (d,))), (
                 masked, d)
+
+
+# derandomized like the oracle property, so both check a fixed example set
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(case=_grammars())
+def test_solve_matches_the_reference_search(case):
+    # the solutions in order, the node count and every (position, disjunct)
+    # pair's failure kinds, with and without word u as a wildcard
+    lex, words, u = case
+    candidates = [lex.lookup(w) for w in words]
+    wildcard = candidates[:u] + [None] + candidates[u + 1:]
+    for cands, unknown in ((candidates, frozenset()),
+                           (wildcard, frozenset({u}))):
+        for collect_causes in (False, True):
+            assert solve(words, cands, unknown, collect_causes) == (
+                reference_solve(words, cands, unknown, collect_causes))
+

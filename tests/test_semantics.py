@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexacq.lexicon import LexiconError, parse_lexicon
-from lexacq.linker import parse
+from lexacq.linker import SearchBudgetError, parse
 from lexacq.semantics import (
     ConceptHierarchies,
     ConceptHierarchy,
@@ -361,6 +361,14 @@ def test_classify_unknown_subject(lexicon, hierarchies, trained_semlex):
     assert evidence.word == "eats"
     assert str(evidence.usage) == "((Ss_animal) (O_food))"
     assert evidence.facts == (("meat", "food"),)
+
+
+def test_classify_stops_past_the_search_budget(lexicon, hierarchies,
+                                               trained_semlex, monkeypatch):
+    monkeypatch.setattr("lexacq.linker.MAX_SEARCH_NODES", 94)
+    with pytest.raises(SearchBudgetError):
+        classify_unknown("the snipe eats meat".split(),
+                         lexicon, trained_semlex, hierarchies)
 
 
 def test_classify_follows_object_evidence(lexicon, hierarchies, trained_semlex):

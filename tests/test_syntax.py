@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from lexacq.lexicon import (Connector, Disjunct, Lexicon, LexiconError,
                             parse_lexicon)
-from lexacq.linker import (SentenceTooLongError, compatible, linkages_from,
-                           parse, solve, validate)
+from lexacq.linker import (SearchBudgetError, SentenceTooLongError,
+                           compatible, linkages_from, parse, solve, validate)
 from lexacq.syntax import (
     NoSolutionError,
     TooManyUnknownsError,
@@ -106,6 +106,15 @@ def test_acquire_trace_matches_golden_file(lexicon):
     result = acquire_syntax("the snipe eats meat".split(), lexicon)
     golden = GOLDEN_TRACE.read_text(encoding="utf-8").rstrip("\n")
     assert render_trace(result.trace) == golden
+
+
+def test_acquire_stops_past_the_search_budget(lexicon, monkeypatch):
+    words = "the snipe eats meat".split()  # a search of 95 nodes
+    monkeypatch.setattr("lexacq.linker.MAX_SEARCH_NODES", 95)
+    assert acquire_syntax(words, lexicon).linkages
+    monkeypatch.setattr("lexacq.linker.MAX_SEARCH_NODES", 94)
+    with pytest.raises(SearchBudgetError):
+        acquire_syntax(words, lexicon)
 
 
 def test_acquire_without_filter_keeps_both_hypotheses(lexicon):
