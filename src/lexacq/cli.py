@@ -190,6 +190,15 @@ def load_workspace(location: str | os.PathLike) -> Workspace:
     for key in _PATH_KEYS:
         if key not in values:
             raise WorkspaceError("%s: missing required option %r" % (path, key))
+    # train writes semlex: a file named twice could be overwritten as the
+    # wrong kind, and later commands could no longer read it
+    named: dict[str, str] = {}
+    for key in _PATH_KEYS:
+        target = os.path.normpath(base / values[key])
+        if target in named:
+            raise WorkspaceError("%s: options %r and %r name the same file %s"
+                                 % (path, named[target], key, target))
+        named[target] = key
 
     max_unknowns = 2
     if "max_unknowns" in values:

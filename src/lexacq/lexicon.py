@@ -18,6 +18,7 @@ Lexicon values are immutable; every operation returns a new value.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -103,9 +104,11 @@ def check_word(word: str) -> None:
 
 
 class Lexicon:
-    """Immutable mapping from word to its ordered disjunct sequence."""
+    """Immutable mapping from word to its ordered disjunct sequence.  A
+    value counts the words of each distinct entry on first use, and `add`
+    carries those counts to the value it returns."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_counts")
 
     def __init__(self, entries: Mapping[str, Iterable[Disjunct]]):
         table: dict[str, tuple[Disjunct, ...]] = {}
@@ -120,6 +123,7 @@ class Lexicon:
                 raise LexiconError("duplicate disjunct for %r" % (word,))
             table[word] = ds
         self._entries = table
+        self._counts = None
 
     def __contains__(self, word: str) -> bool:
         return word in self._entries
@@ -134,6 +138,15 @@ class Lexicon:
         if not isinstance(other, Lexicon):
             return NotImplemented
         return self._entries == other._entries
+
+    def __getstate__(self):
+        # the counts are derived data: pickle the table alone, in the
+        # default form of a slotted value's state
+        return None, {"_entries": self._entries}
+
+    def __setstate__(self, state):
+        self._entries = state[1]["_entries"]
+        self._counts = None
 
     def __repr__(self) -> str:
         return "Lexicon(%d words)" % len(self._entries)
@@ -150,26 +163,44 @@ class Lexicon:
         return tuple(sorted({d for ds in self._entries.values() for d in ds},
                             key=str))
 
+    def entry_counts(self) -> Mapping[tuple[Disjunct, ...], int]:
+        """Each distinct entry with the number of words carrying it."""
+        if self._counts is None:
+            self._counts = Counter(self._entries.values())
+        return self._counts
+
     def add(self, word: str, disjuncts: Iterable[Disjunct]) -> "Lexicon":
         """A new lexicon whose entry for word is the union, existing first."""
         check_word(word)
         new = list(disjuncts)
-        if not new and word not in self._entries:
+        old = self._entries.get(word)
+        if not new and old is None:
             raise LexiconError("word %r has no disjuncts" % (word,))
-        merged = list(self._entries.get(word, ()))
+        merged = list(old or ())
         for d in new:
             if d not in merged:
                 merged.append(d)
+        entry = tuple(merged)
         table = dict(self._entries)
-        table[word] = tuple(merged)
-        return Lexicon._of(table)
+        table[word] = entry
+        counts = self._counts
+        if counts is not None and entry != old:
+            # move the word from its old entry's count to its new entry's
+            counts = counts.copy()
+            if old is not None:
+                counts[old] -= 1
+                if not counts[old]:
+                    del counts[old]
+            counts[entry] += 1
+        return Lexicon._of(table, counts)
 
     @classmethod
-    def _of(cls, table: dict) -> "Lexicon":
+    def _of(cls, table: dict, counts: Optional[Counter] = None) -> "Lexicon":
         """A lexicon of a table of disjunct tuples whose words and entries
-        are already checked."""
+        are already checked, with its entry counts if they are known."""
         out = cls.__new__(cls)
         out._entries = table
+        out._counts = counts
         return out
 
 

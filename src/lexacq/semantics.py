@@ -568,10 +568,15 @@ def _walk_semlex(text: str, hiers: ConceptHierarchies) -> SemanticLexicon:
                 toks.expect("=")
                 count_line = toks.line
                 count_text = toks.take()
-                if not count_text.isdigit() or int(count_text) < 1:
+                try:
+                    support = int(count_text) if count_text.isdigit() else 0
+                except ValueError:  # past the interpreter's int digit limit
+                    raise LexiconError(
+                        "support count of %d digits is too long"
+                        % len(count_text), count_line) from None
+                if support < 1:
                     raise LexiconError(
                         "bad support count %r" % count_text, count_line)
-                support = int(count_text)
             observations.append(
                 TaggedDisjunct(shape, tuple(tags.items()), support))
             if toks.peek() != "|":
@@ -642,7 +647,10 @@ def _read_semlex(text: str, hiers: ConceptHierarchies
             items = table[word] = []
         elif items is None:
             return None
-        support = 1 if count is None else int(count)
+        try:
+            support = 1 if count is None else int(count)
+        except ValueError:  # too long: the walker reports it
+            return None
         if support < 1:
             return None
         items.append((body, support))

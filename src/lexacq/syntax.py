@@ -12,7 +12,6 @@ hypothesis is recorded in a replayable trace.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -148,7 +147,7 @@ def _frequencies(hyps: Iterable[Disjunct], lexicon: Lexicon
     """For each hypothesis, the number of lexicon words carrying a disjunct
     compatible with it.  Words with equal entries are counted together,
     so each distinct entry is checked once per hypothesis."""
-    entries = Counter(map(lexicon.lookup, lexicon))
+    entries = lexicon.entry_counts()
     return {
         h: sum(n for ds, n in entries.items()
                if any(compatible(h, d) for d in ds))

@@ -87,6 +87,9 @@ def test_load_workspace_missing_config(tmp_path):
     "nonsense line",
     "lexicon = lexicon.lg\nlexicon = again.lg",
     "unknown_key = 1",
+    # keys naming one file, which exists
+    "lexicon = workspace.cfg\nnoun_hierarchy = ./workspace.cfg\n"
+    "verb_hierarchy = workspace.cfg\nsemlex = s.lg",
 ])
 def test_load_workspace_rejects_bad_config(tmp_path, broken):
     (tmp_path / "workspace.cfg").write_text(broken, encoding="utf-8")
@@ -444,6 +447,23 @@ def test_train_unwritable_semlex_is_usage_error(ws, capsys):
     assert {p: p.read_bytes() for p in ws.iterdir()} == before
 
 
+def test_train_refuses_a_semlex_that_is_the_lexicon(ws, capsys):
+    # a lexicon written one word per line also reads as a tagged lexicon
+    assert run(ws, "acquire", "--write", "the snipe eats meat") == 0
+    config = ws / "workspace.cfg"
+    config.write_text(
+        config.read_text(encoding="utf-8").replace(
+            "semlex = semantic_lexicon.lg", "semlex = lexicon.lg"),
+        encoding="utf-8")
+    lexicon = (ws / "lexicon.lg").read_bytes()
+    capsys.readouterr()
+    assert run(ws, "train", str(ws / "sample_corpus.txt")) == 2
+    assert capsys.readouterr() == (
+        "", "error: %s: options 'lexicon' and 'semlex' name the same file"
+        " %s\n" % (config, ws / "lexicon.lg"))
+    assert (ws / "lexicon.lg").read_bytes() == lexicon
+
+
 def test_classify_after_training(ws, capsys):
     assert run(ws, "train", str(ws / "sample_corpus.txt")) == 0
     capsys.readouterr()
@@ -472,6 +492,10 @@ def test_classify_without_training_data(ws, capsys):
      "'cow' appears in both hierarchies"),
     ("", "zebra: ((Ds) (Ss_animal)) ;support=0", "bad support count '0'"),
     ("", "meat: ((Os) ( ))", "duplicate entry for 'meat'"),
+    # past the interpreter's default int digit limit of 4,300
+    pytest.param("", "zebra: ((Ds) (Ss_animal)) ;support=" + "9" * 5000,
+                 "support count of 5000 digits is too long",
+                 id="overlong support count"),
 ])
 def test_classify_rejects_a_bad_entry_it_does_not_read(ws, capsys, verbs,
                                                        entry, message):

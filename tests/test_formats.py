@@ -200,6 +200,10 @@ SEMLEX_ERRORS = [
      "line 3: bad support count '0'", 3),
     (_GOOD_ENTRIES + 'meat: ((Os) ( ))',
      "line 3: duplicate entry for 'meat'", 3),
+    # past the interpreter's default int digit limit of 4,300
+    pytest.param(_GOOD_ENTRIES + 'zebra: ((Ds) (Ss)) ;support=' + '1' * 5000,
+                 "line 3: support count of 5000 digits is too long", 3,
+                 id="overlong support count"),
 ]
 
 

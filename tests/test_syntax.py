@@ -1,5 +1,7 @@
 """Syntactic acquisition: pruning, hypothesis synthesis, inventory filter."""
 
+import pickle
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexacq.lexicon import (Connector, Disjunct, Lexicon, LexiconError,
-                            parse_lexicon)
+                            parse_lexicon, serialize_lexicon)
 from lexacq.linker import (SearchBudgetError, SentenceTooLongError,
                            compatible, linkages_from, parse, solve, validate)
 from lexacq.syntax import (
@@ -288,8 +290,36 @@ def _lexicons(draw):
     })
 
 
+@st.composite
+def _grown_lexicons(draw):
+    """A lexicon of _lexicons grown by adds: a new word, new or present
+    disjuncts for a word it has, or none.  Its entry counts are built
+    before the adds, between two of them or never, so that `add` carries
+    them through the rest."""
+    lexicon = draw(_lexicons())
+    steps = draw(st.integers(min_value=1, max_value=6))
+    build_at = draw(st.sampled_from([None, *range(steps + 1)]))
+    for i in range(steps):
+        if i == build_at:
+            lexicon.entry_counts()
+        words = list(lexicon)
+        word = draw(st.one_of(st.just("v" + "x" * i), st.sampled_from(words)))
+        present = lexicon.lookup(word)
+        if present is None:
+            # its own entry, or another word's
+            new = draw(st.one_of(_ENTRIES, st.sampled_from(
+                [lexicon.lookup(w) for w in words])))
+        else:
+            new = draw(st.lists(st.one_of(_DISJUNCTS, st.sampled_from(present)),
+                                max_size=3))
+        lexicon = lexicon.add(word, new)
+    if build_at == steps:
+        lexicon.entry_counts()
+    return lexicon
+
+
 @settings(max_examples=300, deadline=None)
-@given(lexicon=_lexicons(), data=st.data())
+@given(lexicon=st.one_of(_lexicons(), _grown_lexicons()), data=st.data())
 def test_frequencies_equal_per_word_count(lexicon, data):
     inventory = lexicon.inventory()
     hyps = data.draw(st.lists(st.one_of(
@@ -300,6 +330,11 @@ def test_frequencies_equal_per_word_count(lexicon, data):
     ), max_size=6))
     assert _frequencies(hyps, lexicon) == {
         h: _naive_frequency(h, lexicon) for h in hyps}
+    # the carried counts are a fresh value's, with no zero left over
+    fresh = parse_lexicon(serialize_lexicon(lexicon))
+    expected = dict(Counter(map(fresh.lookup, fresh)))
+    assert dict(lexicon.entry_counts()) == expected
+    assert dict(pickle.loads(pickle.dumps(lexicon)).entry_counts()) == expected
 
 
 def test_frequencies_cover_none_some_and_all_words():
