@@ -9,7 +9,7 @@ connector lists dictate.  Cycles are allowed.
 The solver (`solve`, behind `parse`) is a depth-first search over the
 sentence left to right whose state is (position, open connectors): the
 stack of open rightward connectors, the links made so far and the
-candidate chosen at each word are passed down the recursion, and the
+disjunct chosen at each word are passed down the recursion, and the
 failure kinds each subtree witnessed are returned up it; nothing but the
 outcome is mutated.  Planarity is exactly the stack discipline, and the
 ordering rule makes the link set deterministic per disjunct choice.  An
@@ -126,7 +126,6 @@ class Violation:
 class Solution:
     """One satisfying assignment found by `solve`."""
 
-    choice_indices: tuple
     choices: tuple[Disjunct, ...]
     links: tuple[tuple[int, int, str], ...]
 
@@ -185,13 +184,16 @@ def solve(
     known (position, disjunct) pair is tagged with the kinds of the
     branches that tried it.  Nothing but the outcome is mutated.  Raises
     SentenceTooLongError past MAX_SENTENCE_WORDS words and
-    SearchBudgetError past MAX_SEARCH_NODES search nodes.
+    SearchBudgetError past MAX_SEARCH_NODES search nodes.  A known word
+    with no candidate links nothing, so its sentence is not searched.
     """
     n = len(words)
     if n > MAX_SENTENCE_WORDS:
         raise SentenceTooLongError(n)
+    out = SolveOutcome([], causes={} if collect_causes else None)
+    if not all(candidates[p] for p in range(n) if p not in unknown):
+        return out
     budget = MAX_SEARCH_NODES
-    out = SolveOutcome([])
     masks: Optional[dict] = {} if collect_causes else None  # (pos, d) -> kinds
 
     # a wildcard may open at most as many connectors as the words after it
@@ -199,7 +201,7 @@ def solve(
     push_cap = [0] * (n + 1)
     for p in range(n - 1, -1, -1):
         cap = push_cap[p + 1]
-        if p not in unknown and candidates[p]:
+        if p not in unknown:
             cap += max(len(d.left) for d in candidates[p])
         push_cap[p] = cap
 
@@ -225,7 +227,7 @@ def solve(
 
     def at(p: int, stack: tuple, links: tuple, chosen: tuple) -> int:
         """Search on from word p, given the links made before it, the
-        candidate index chosen at each earlier word (None at wildcards) and
+        disjunct chosen at each earlier word (None at wildcards) and
         the open rightward connectors: a stack of (source position,
         Connector, or None for a wildcard's).  Returns the failure kinds of
         the subtree."""
@@ -234,9 +236,9 @@ def solve(
                 return _ORDERING
             if len(_reachable(links)) < n:
                 return _CONNECTIVITY
-            out.solutions.append(Solution(chosen, tuple(
-                _read_off(q, links) if i is None else candidates[q][i]
-                for q, i in enumerate(chosen)), tuple(sorted(links))))
+            out.solutions.append(Solution(tuple(
+                _read_off(q, links) if d is None else d
+                for q, d in enumerate(chosen)), tuple(sorted(links))))
             return 0
         kinds = 0
         if p in unknown:
@@ -259,7 +261,7 @@ def solve(
                     kinds |= at(p + 1, rest + ((p, None),) * j, here,
                                 chosen + (None,))
             return kinds
-        for i, d in enumerate(candidates[p]):
+        for d in candidates[p]:
             out.nodes += 1
             if out.nodes > budget:
                 raise SearchBudgetError(budget)
@@ -270,7 +272,7 @@ def solve(
                 failed = at(p + 1,
                             stack[: len(stack) - len(d.left)]
                             + tuple((p, b) for b in d.right),
-                            links + new_links, chosen + (i,))
+                            links + new_links, chosen + (d,))
             if failed and masks is not None:
                 masks[(p, d)] = masks.get((p, d), 0) | failed
             kinds |= failed
@@ -285,7 +287,9 @@ def solve(
 
 
 def parse(words: Sequence[str], lexicon: Lexicon) -> list[Linkage]:
-    """All valid linkages, in canonical order (choice indices, then links)."""
+    """All valid linkages, in search order.  That order is canonical:
+    by each word's entry index, as the search tries entries in order and
+    one choice of disjuncts fixes the links."""
     words = tuple(words)
     candidates = []
     for i, w in enumerate(words):
@@ -298,51 +302,31 @@ def parse(words: Sequence[str], lexicon: Lexicon) -> list[Linkage]:
 
 def linkages_from(words: Sequence[str], solutions: Sequence[Solution]
                   ) -> list[Linkage]:
-    """The solutions' linkages in canonical order (choice indices, then
-    links)."""
-    ordered = sorted(solutions, key=lambda s: (s.choice_indices, s.links))
+    """The solutions' linkages, in the order given."""
     return [
         Linkage(words, sol.choices, tuple(Link(*t) for t in sol.links))
-        for sol in ordered
+        for sol in solutions
     ]
 
 
 # --- validation -----------------------------------------------------------
 
 
-def _forced_pairing(linkage: Linkage):
-    """Slot assignment the ordering rule dictates: a word's leftward links
-    pair with its left list nearest first, its rightward links with its
-    right list farthest first."""
+def slot_links(linkage: Linkage) -> list[tuple[list[Link], list[Link]]]:
+    """For each word, the links at its left connectors and the links at
+    its right connectors, in the pairing the ordering rule dictates: left
+    nearest first, right farthest first.  A word whose disjunct the links
+    do not saturate gets lists of other lengths than its disjunct's
+    sides."""
     n = len(linkage.words)
     in_links: list[list[Link]] = [[] for _ in range(n)]
     out_links: list[list[Link]] = [[] for _ in range(n)]
     for link in linkage.links:
         out_links[link.left].append(link)
         in_links[link.right].append(link)
-    for p in range(n):
-        in_links[p].sort(key=lambda l: -l.left)
-        out_links[p].sort(key=lambda l: -l.right)
-    consistent = [
-        len(in_links[p]) == len(linkage.choices[p].left)
-        and len(out_links[p]) == len(linkage.choices[p].right)
-        for p in range(n)
-    ]
-    return in_links, out_links, consistent
-
-
-def connector_assignment(linkage: Linkage) -> dict[tuple, Link]:
-    """Map (position, side, index) -> Link for a valid linkage."""
-    in_links, out_links, consistent = _forced_pairing(linkage)
-    if not all(consistent):
-        raise ValueError("linkage does not saturate its disjuncts")
-    assignment = {}
-    for p in range(len(linkage.words)):
-        for i, link in enumerate(in_links[p]):
-            assignment[(p, "left", i)] = link
-        for j, link in enumerate(out_links[p]):
-            assignment[(p, "right", j)] = link
-    return assignment
+    return [(sorted(in_links[p], key=lambda l: -l.left),
+             sorted(out_links[p], key=lambda l: -l.right))
+            for p in range(n)]
 
 
 def _label_connector(label: str):
@@ -408,23 +392,21 @@ def validate(linkage: Linkage) -> list[Violation]:
                       "not reachable from word 0"))
 
     # saturation and ordering, word by word against incident link labels;
-    # the forced pairing is the one the ordering rule dictates
-    in_links, out_links, consistent = _forced_pairing(linkage)
+    # paired as the ordering rule dictates
     slot_of: dict[tuple[int, Link], Connector] = {}
     clean = [False] * n
-    for p in range(n):
+    for p, (lefts, rights) in enumerate(slot_links(linkage)):
         d = linkage.choices[p]
-        if not consistent[p]:
+        if len(lefts) != len(d.left) or len(rights) != len(d.right):
             violations.append(
                 Violation("saturation", (p,),
                           "word %d has %d links for %d leftward and %d for %d"
                           " rightward connectors"
-                          % (p, len(in_links[p]), len(d.left),
-                             len(out_links[p]), len(d.right))))
+                          % (p, len(lefts), len(d.left),
+                             len(rights), len(d.right))))
             continue
         failed = False
-        for links_here, slots in ((in_links[p], d.left),
-                                  (out_links[p], d.right)):
+        for links_here, slots in ((lefts, d.left), (rights, d.right)):
             for link, slot in zip(links_here, slots):
                 slot_of[(p, link)] = slot
                 if not _slot_serves(slot, _label_connector(link.label)):
@@ -434,8 +416,8 @@ def validate(linkage: Linkage) -> list[Violation]:
             continue
         # a reordering that serves every label is an ordering fault; a link
         # no assignment can serve leaves some connector unsatisfied
-        left_labels = [_label_connector(l.label) for l in in_links[p]]
-        right_labels = [_label_connector(l.label) for l in out_links[p]]
+        left_labels = [_label_connector(l.label) for l in lefts]
+        right_labels = [_label_connector(l.label) for l in rights]
         if (_bijection_exists(list(d.left), left_labels)
                 and _bijection_exists(list(d.right), right_labels)):
             violations.append(

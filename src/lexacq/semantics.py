@@ -18,8 +18,7 @@ from .lexicon import (_CONNECTOR_PATTERN, _LINE_BREAKS, _NAME_PATTERN,
                       _WORD_RE, Connector, Disjunct, Lexicon, LexiconError,
                       _body_pattern, _body_tokens, _Tokens, _uncomment,
                       parse_disjunct_body)
-from .linker import (Linkage, UnknownWordError, compatible,
-                     connector_assignment)
+from .linker import Linkage, UnknownWordError, compatible, slot_links
 from .syntax import acquire_syntax
 
 
@@ -200,9 +199,6 @@ class ConceptHierarchies:
 
 # --- tagged lexical entries --------------------------------------------------
 
-Slot = tuple  # ("left" | "right", index)
-
-
 @dataclass(frozen=True)
 class SemanticTag:
     value: str
@@ -355,22 +351,22 @@ def tag_sentence(linkage: Linkage, hiers: ConceptHierarchies,
 
 def _tagged_words(linkage: Linkage, hiers: ConceptHierarchies):
     """Yield tag_sentence's (word, observation) pairs, in sentence order."""
-    by_position: dict[int, dict] = {}
-    for (pos, side, index), link in connector_assignment(linkage).items():
-        by_position.setdefault(pos, {})[(side, index)] = link
-    for pos, word in enumerate(linkage.words):
+    for pos, (lefts, rights) in enumerate(slot_links(linkage)):
+        word, d = linkage.words[pos], linkage.choices[pos]
+        if (len(lefts), len(rights)) != (len(d.left), len(d.right)):
+            raise ValueError("linkage does not saturate its disjuncts")
         if hiers.leaf_kind_of(word) is None:
             continue
         tags = {}
-        for slot, link in by_position.get(pos, {}).items():
-            other = link.right if link.left == pos else link.left
-            other_word = linkage.words[other]
-            kind = hiers.leaf_kind_of(other_word)
-            if kind is not None:
-                tags[slot] = SemanticTag(other_word, kind)
+        for side, links in (("left", lefts), ("right", rights)):
+            for index, link in enumerate(links):
+                other_word = linkage.words[
+                    link.left if side == "left" else link.right]
+                kind = hiers.leaf_kind_of(other_word)
+                if kind is not None:
+                    tags[(side, index)] = SemanticTag(other_word, kind)
         if tags:
-            yield word, TaggedDisjunct(linkage.choices[pos],
-                                       tuple(tags.items()))
+            yield word, TaggedDisjunct(d, tuple(tags.items()))
 
 
 def _try_merge(a: TaggedDisjunct, b: TaggedDisjunct,
@@ -465,27 +461,22 @@ def classify_unknown(
                          "found %d" % len(result.unknown_positions))
     unknown_pos = result.unknown_positions[0]
     witness = result.linkages[0]
-    assignment = connector_assignment(witness)
-    slot_of_link: dict[tuple, Slot] = {}
-    for (pos, side, index), link in assignment.items():
-        slot_of_link[(pos, link)] = (side, index)
+    slots = slot_links(witness)
+    # the unknown word's neighbours left to right, each with the side of
+    # its own connector that the link serves
+    lefts, rights = slots[unknown_pos]
+    neighbors = ([(link.left, "right", link) for link in reversed(lefts)]
+                 + [(link.right, "left", link) for link in reversed(rights)])
 
     found: list = []
     seen_concepts = set()
     any_tagged = False
-    neighbors = []
-    for link in witness.links:
-        if link.left == unknown_pos:
-            neighbors.append((link.right, link))
-        elif link.right == unknown_pos:
-            neighbors.append((link.left, link))
-    neighbors.sort()
-
-    for q, link in neighbors:
+    for q, side, link in neighbors:
         usages = semlex.lookup(witness.words[q])
         if any(u.tags for u in usages):
             any_tagged = True
-        side, index = slot_of_link[(q, link)]
+        links_at = dict(zip(("left", "right"), slots[q]))
+        index = links_at[side].index(link)
         for usage in usages:
             if not compatible(usage.shape, witness.choices[q]):
                 continue
@@ -494,13 +485,12 @@ def classify_unknown(
                 continue
             facts = []
             fits = True
-            for slot, tag in usage.tags:
-                if slot == (side, index):
+            for (other_side, other_index), tag in usage.tags:
+                if (other_side, other_index) == (side, index):
                     continue
-                other_link = assignment[(q,) + slot]
-                other = (other_link.right if other_link.left == q
-                         else other_link.left)
-                filler = witness.words[other]
+                other_link = links_at[other_side][other_index]
+                filler = witness.words[other_link.left if other_side == "left"
+                                       else other_link.right]
                 h = hiers.get(tag.kind)
                 if filler not in h or not h.subsumes(tag.value, filler):
                     fits = False

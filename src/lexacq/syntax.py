@@ -17,8 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .lexicon import Disjunct, Lexicon, check_word
 from .linker import (FAILURE_KINDS, Link, Linkage, Solution, SolveOutcome,
-                     compatible, connector_assignment, link_label,
-                     linkages_from, solve)
+                     compatible, link_label, linkages_from, slot_links, solve)
 
 
 class NoSolutionError(ValueError):
@@ -86,9 +85,11 @@ def _count_reason(side: str, available: int) -> str:
 
 
 def _cause_reason(kinds) -> str:
-    """The first of the failure kinds in FAILURE_KINDS order, as a reason."""
-    return "%s conflict" % next(
-        (kind for kind in FAILURE_KINDS if kind in kinds), FAILURE_KINDS[0])
+    """The first of the failure kinds in FAILURE_KINDS order, as a reason.
+    Every search branch ends in a solution or a failure, so an unsupported
+    disjunct with no failure kinds was never tried."""
+    kind = next((kind for kind in FAILURE_KINDS if kind in kinds), None)
+    return "not reached" if kind is None else "%s conflict" % kind
 
 
 def _prune(words: tuple[str, ...], known: Mapping[int, tuple[Disjunct, ...]],
@@ -98,8 +99,9 @@ def _prune(words: tuple[str, ...], known: Mapping[int, tuple[Disjunct, ...]],
 
     Pass 1 removes disjuncts needing more words to one side than exist;
     pass 2 keeps exactly the disjuncts used by some valid linkage when
-    unknown positions act as wildcards.  Scanning is by position then entry
-    order, so the trace replays eliminations deterministically.
+    unknown positions act as wildcards; when pass 1 leaves a word nothing,
+    no linkage exists and pass 2 names that word.  Scanning is by position
+    then entry order, so the trace replays eliminations deterministically.
     """
     n = len(words)
     trace: list[TraceEvent] = []
@@ -120,6 +122,7 @@ def _prune(words: tuple[str, ...], known: Mapping[int, tuple[Disjunct, ...]],
     for p, ds in survivors.items():
         candidates[p] = tuple(ds)
     outcome = solve(words, candidates, unknown=unknown, collect_causes=True)
+    emptied = next((p for p, ds in survivors.items() if not ds), None)
 
     supported = set()
     for sol in outcome.solutions:
@@ -132,9 +135,10 @@ def _prune(words: tuple[str, ...], known: Mapping[int, tuple[Disjunct, ...]],
             if (p, d) in supported:
                 kept.append(d)
             else:
-                kinds = outcome.causes.get((p, d), ())
-                trace.append(TraceEvent("eliminate", p, words[p], d,
-                                        _cause_reason(kinds)))
+                reason = ("word %d has no disjunct left" % emptied
+                          if emptied is not None
+                          else _cause_reason(outcome.causes.get((p, d), ())))
+                trace.append(TraceEvent("eliminate", p, words[p], d, reason))
         pruned[p] = tuple(kept)
     return pruned, trace, outcome
 
@@ -189,19 +193,20 @@ def _substituted(witness: Linkage, unknown: Sequence[int],
     """The witness with each unknown word's read-off disjunct replaced by
     the compatible inventory form giving the smallest links (the first in
     inventory order on ties), so the links carry the lexicon's subscripts."""
-    slots = connector_assignment(witness)
+    slots = slot_links(witness)
     choices = list(witness.choices)
     labels = {}
     for p in unknown:
         h = choices[p]
+        lefts, rights = slots[p]
 
         def relabelled(form):
             """p's (link, label) pairs with form at p, in link order."""
             return sorted(
-                (slots[(p, side, i)], link_label(c, f))
-                for side, cs, fs in (("left", h.left, form.left),
-                                     ("right", h.right, form.right))
-                for i, (c, f) in enumerate(zip(cs, fs)))
+                (link, link_label(c, f))
+                for links, cs, fs in ((lefts, h.left, form.left),
+                                      (rights, h.right, form.right))
+                for link, c, f in zip(links, cs, fs))
 
         choices[p] = min((d for d in inventory if compatible(h, d)),
                          key=relabelled)

@@ -124,18 +124,9 @@ def reference_solve(
 
     def record_solution(links: tuple) -> None:
         by_pos = dict(applied)
-        choices = []
-        indices = []
-        for p in range(n):
-            if p in unknown:
-                choices.append(_read_off(p, links))
-                indices.append(None)
-            else:
-                d = by_pos[p]
-                choices.append(d)
-                indices.append(candidates[p].index(d))
-        out.solutions.append(
-            Solution(tuple(indices), tuple(choices), tuple(sorted(links))))
+        choices = tuple(_read_off(p, links) if p in unknown else by_pos[p]
+                        for p in range(n))
+        out.solutions.append(Solution(choices, tuple(sorted(links))))
 
     def links_for(p: int, d: Disjunct, stack: tuple):
         """The links d's left connectors make with the top of the stack;

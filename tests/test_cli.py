@@ -277,10 +277,33 @@ def test_acquire_trace_of_unlinkable_sentence(ws, capsys):
     assert len(out) == 9
     assert out[0] == ("eliminate:0:meat:((A,Ds,Os) ( )):left connector"
                       " unsatisfiable: no words to the left")
-    assert out[-1] == "eliminate:2:the:(( ) (D)):ordering conflict"
+    assert out[-1] == "eliminate:2:the:(( ) (D)):word 0 has no disjunct left"
     assert captured.err == error
     assert run(ws, "acquire", "meat eats the snipe") == 1
     assert capsys.readouterr() == ("", error)
+
+
+def test_acquire_trace_names_disjuncts_never_tried(ws, capsys):
+    # both eats disjuncts fail at word 1, so no branch reaches word 2
+    assert run(ws, "acquire", "--trace", "the eats cow") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[3:] == [
+        "eliminate:0:the:(( ) (D)):ordering conflict",
+        "eliminate:1:eats:((Ss) (O)):ordering conflict",
+        "eliminate:1:eats:((Ss) ( )):ordering conflict",
+        "eliminate:2:cow:((Ds,Os) ( )):not reached",
+        "eliminate:2:cow:((Os) ( )):not reached",
+        "eliminate:2:cow:((A,Os) ( )):not reached"]
+
+
+def test_acquire_trace_names_the_word_count_pruning_emptied(ws, capsys):
+    assert run(ws, "acquire", "--trace", "the wug eats the meat the") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("eliminate:5:the:(( ) (D)):right connector"
+                      " unsatisfiable: no words to the right")
+    assert len(out) == 11
+    assert all(line.endswith(":word 5 has no disjunct left")
+               for line in out[1:])
 
 
 def test_acquire_write_is_idempotent(ws, capsys):

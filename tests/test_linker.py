@@ -15,11 +15,11 @@ from lexacq.linker import (
     SentenceTooLongError,
     UnknownWordError,
     compatible,
-    connector_assignment,
     link_label,
     linkages_from,
     match,
     parse,
+    slot_links,
     solve,
     validate,
 )
@@ -250,13 +250,14 @@ def test_validate_ordering_fault_does_not_spread_to_partners():
         ("ordering", (0,))]
 
 
-def test_connector_assignment_maps_each_slot(lexicon):
+def test_slot_links_pairs_each_slot(lexicon):
     linkage = parse("the condor eats the meat".split(), lexicon)[0]
-    assignment = connector_assignment(linkage)
-    assert len(assignment) == 8  # two ends per link
-    assert assignment[(4, "left", 0)] == Link(3, 4, "Ds")
-    assert assignment[(4, "left", 1)] == Link(2, 4, "Os")
-    assert assignment[(2, "right", 0)] == Link(2, 4, "Os")
+    slots = slot_links(linkage)
+    # two ends per link
+    assert sum(len(lefts) + len(rights) for lefts, rights in slots) == 8
+    assert slots[4][0][0] == Link(3, 4, "Ds")
+    assert slots[4][0][1] == Link(2, 4, "Os")
+    assert slots[2][1][0] == Link(2, 4, "Os")
 
 
 def test_oracle_cap():
@@ -345,7 +346,17 @@ def _grammars(draw):
 @given(case=_grammars())
 def test_solve_agrees_with_oracle_on_random_grammars(case):
     lex, words, u = case
-    assert parse(words, lex) == enumerate_bruteforce(words, lex)
+    linkages = parse(words, lex)
+    assert linkages == enumerate_bruteforce(words, lex)
+    # each word's slot lists fit its disjunct, and each link sits at one
+    # slot of each of its two words
+    for linkage in linkages:
+        slots = slot_links(linkage)
+        for (lefts, rights), d in zip(slots, linkage.choices):
+            assert (len(lefts), len(rights)) == (len(d.left), len(d.right))
+        for link in linkage.links:
+            assert slots[link.left][1].count(link) == 1
+            assert slots[link.right][0].count(link) == 1
 
     # word u as a wildcard, renamed wug
     candidates = [lex.lookup(w) for w in words]

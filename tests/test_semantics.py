@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexacq.lexicon import LexiconError, parse_lexicon
-from lexacq.linker import SearchBudgetError, parse
+from lexacq.linker import Linkage, SearchBudgetError, parse
 from lexacq.semantics import (
     ConceptHierarchies,
     ConceptHierarchy,
@@ -146,6 +146,13 @@ def test_tag_sentence_records_linked_nouns_and_verbs(lexicon, hierarchies):
         TD("((Ds) (Ss))", {("right", 0): SemanticTag("eats", "verb")}),)
     assert semlex.lookup("meat") == (
         TD("((Os) ( ))", {("left", 0): SemanticTag("eats", "verb")}),)
+
+
+def test_tag_sentence_rejects_an_unsaturated_linkage(lexicon, hierarchies):
+    linkage = parse("the condor eats meat".split(), lexicon)[0]
+    broken = Linkage(linkage.words, linkage.choices, linkage.links[1:])
+    with pytest.raises(ValueError, match="does not saturate"):
+        tag_sentence(broken, hierarchies, SemanticLexicon(), lexicon)
 
 
 def test_tag_sentence_pools_identical_observations(lexicon, hierarchies):

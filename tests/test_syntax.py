@@ -512,6 +512,10 @@ def test_witness_read_off_equals_reparse(lexicon, words, filter_on):
         result = acquire_syntax(words, lexicon, filter_on=filter_on)
     except NoSolutionError:
         return
+    # every word keeps a disjunct, and every disjunct is tried
+    assert not any(e.reason == "not reached"
+                   or e.reason.endswith("has no disjunct left")
+                   for e in result.trace)
     unknown = result.unknown_positions
     substitute = filter_on and not result.novel
     inventory = lexicon.inventory()
