@@ -41,6 +41,7 @@ from .semantics import (
     SemanticTag,
     TaggedDisjunct,
     UnknownConceptError,
+    UnknownCountError,
     classify_unknown,
     generalize,
     parse_semlex,
@@ -81,6 +82,7 @@ __all__ = [
     "TooManyUnknownsError",
     "TraceEvent",
     "UnknownConceptError",
+    "UnknownCountError",
     "UnknownWordError",
     "Violation",
     "acquire_syntax",

@@ -36,6 +36,7 @@ from .semantics import (
     HierarchyError,
     NoSemanticEvidenceError,
     SemanticLexicon,
+    UnknownCountError,
     _tagged_words,
     classify_unknown,
     generalize,
@@ -395,17 +396,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
     ws, lexicon, words = _load_sentence(args)
     hiers = ws.load_hierarchies()
     semlex = ws.load_semlex(hiers)
-    unknown = [i for i, w in enumerate(words) if w not in lexicon]
-    if len(unknown) != 1:
-        print(
-            "error: classify needs exactly one unknown word, found %d"
-            % len(unknown),
-            file=sys.stderr,
-        )
-        return 1
     results = classify_unknown(words, lexicon, semlex, hiers,
                                **_search_options(args, ws))
-    target = words[unknown[0]]
+    target = next(w for w in words if w not in lexicon)
     for concept, evidence in results:
         print("%s -> %s" % (target, concept))
         line = "  evidence: %s %s" % (evidence.word, evidence.usage)
@@ -474,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (EmptySentenceError, UnknownWordError, SentenceTooLongError,
             SearchBudgetError, NoSolutionError, TooManyUnknownsError,
-            NoSemanticEvidenceError) as exc:
+            NoSemanticEvidenceError, UnknownCountError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except (WorkspaceError, LexiconError, HierarchyError) as exc:

@@ -14,13 +14,17 @@ failure kinds each subtree witnessed are returned up it; nothing but the
 outcome is mutated.  Planarity is exactly the stack discipline, and the
 ordering rule makes the link set deterministic per disjunct choice.  An
 unknown word is a wildcard whose disjunct is read off its links at each
-solution: what its left and right context link with.
+solution: what its left and right context link with.  Any search behind
+`solve` keeps its contract: None candidates mark wildcards, solutions come
+in canonical (search) order, `nodes` counts the search nodes, and `causes`
+holds one FAILURE_KINDS mask per known (position, disjunct) it tried that
+failed on some branch.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .lexicon import Connector, Disjunct, Lexicon, LexiconError
@@ -134,7 +138,7 @@ class Solution:
 class SolveOutcome:
     solutions: list[Solution]
     nodes: int = 0
-    causes: Optional[dict] = None  # (pos, disjunct) -> set of failure kinds
+    causes: dict = field(default_factory=dict)  # (pos, disjunct) -> mask
 
 
 def _reachable(links) -> set[int]:
@@ -168,40 +172,39 @@ def _read_off(p: int, links) -> Disjunct:
 
 
 def solve(
-    words: Sequence[str],
     candidates: Sequence[Optional[Sequence[Disjunct]]],
-    unknown: frozenset[int] = frozenset(),
     collect_causes: bool = False,
 ) -> SolveOutcome:
     """Enumerate every valid linkage by depth-first search.
 
-    `candidates[p]` is the disjunct sequence tried at position p; positions
-    in `unknown` are wildcards that may absorb any open rightward connector
-    and may open connectors for later known words to absorb.  A wildcard
-    never links to another wildcard: no known requirement would justify the
-    link.  Each branch returns the failure kinds its subtree witnessed
-    (ordering, exclusion, connectivity); when `collect_causes` is set, each
-    known (position, disjunct) pair is tagged with the kinds of the
-    branches that tried it.  Nothing but the outcome is mutated.  Raises
+    `candidates[p]` is the disjunct sequence tried at position p, or None
+    for a wildcard that may absorb any open rightward connector and may
+    open connectors for later known words to absorb; never a wildcard's,
+    as no known requirement would justify that link.  The solutions come
+    in search order, which is canonical; `nodes` counts the search nodes.
+    Each branch returns the failure kinds its subtree witnessed as a
+    FAILURE_KINDS mask; with `collect_causes`, `causes` maps each known
+    (position, disjunct) pair that failed on some branch to the OR of its
+    failed branches' masks.  Nothing but the outcome is mutated.  Raises
     SentenceTooLongError past MAX_SENTENCE_WORDS words and
     SearchBudgetError past MAX_SEARCH_NODES search nodes.  A known word
     with no candidate links nothing, so its sentence is not searched.
     """
-    n = len(words)
+    n = len(candidates)
     if n > MAX_SENTENCE_WORDS:
         raise SentenceTooLongError(n)
-    out = SolveOutcome([], causes={} if collect_causes else None)
-    if not all(candidates[p] for p in range(n) if p not in unknown):
+    out = SolveOutcome([])
+    if not all(ds for ds in candidates if ds is not None):
         return out
     budget = MAX_SEARCH_NODES
-    masks: Optional[dict] = {} if collect_causes else None  # (pos, d) -> kinds
+    causes = out.causes if collect_causes else None
 
     # a wildcard may open at most as many connectors as the words after it
     # could ever absorb
     push_cap = [0] * (n + 1)
     for p in range(n - 1, -1, -1):
         cap = push_cap[p + 1]
-        if p not in unknown:
+        if candidates[p] is not None:
             cap += max(len(d.left) for d in candidates[p])
         push_cap[p] = cap
 
@@ -241,7 +244,7 @@ def solve(
                 for q, d in enumerate(chosen)), tuple(sorted(links))))
             return 0
         kinds = 0
-        if p in unknown:
+        if candidates[p] is None:
             max_k = 0
             seen = set()
             while max_k < len(stack):
@@ -273,16 +276,12 @@ def solve(
                             stack[: len(stack) - len(d.left)]
                             + tuple((p, b) for b in d.right),
                             links + new_links, chosen + (d,))
-            if failed and masks is not None:
-                masks[(p, d)] = masks.get((p, d), 0) | failed
+            if failed and causes is not None:
+                causes[(p, d)] = causes.get((p, d), 0) | failed
             kinds |= failed
         return kinds
 
     at(0, (), (), ())
-    if masks is not None:
-        out.causes = {key: {kind for bit, kind in enumerate(FAILURE_KINDS)
-                            if mask >> bit & 1}
-                      for key, mask in masks.items()}
     return out
 
 
@@ -297,7 +296,7 @@ def parse(words: Sequence[str], lexicon: Lexicon) -> list[Linkage]:
         if ds is None:
             raise UnknownWordError(w, i)
         candidates.append(ds)
-    return linkages_from(words, solve(words, candidates).solutions)
+    return linkages_from(words, solve(candidates).solutions)
 
 
 def linkages_from(words: Sequence[str], solutions: Sequence[Solution]

@@ -40,6 +40,10 @@ class NoSemanticEvidenceError(LookupError):
     """No linked known word carries tagged usages to classify against."""
 
 
+class UnknownCountError(ValueError):
+    """The sentence to classify has other than exactly one unknown word."""
+
+
 # --- concept hierarchies ----------------------------------------------------
 
 
@@ -451,15 +455,18 @@ def classify_unknown(
     slot's actual filler is subsumed by that slot's tag; the tag at the
     slot linking to the unknown is then emitted.  Returns (concept,
     Evidence) pairs deduplicated by concept, deterministic order.
-    Raises ValueError unless exactly one word is unknown, and
-    NoSemanticEvidenceError when no linked word has tagged usages.
+    Raises UnknownCountError, before any search, unless exactly one word
+    is unknown, and NoSemanticEvidenceError when no linked word has tagged
+    usages.
     """
+    unknown = [p for p, w in enumerate(words) if w not in lexicon]
+    if len(unknown) != 1:
+        raise UnknownCountError(
+            "classify needs exactly one unknown word, found %d"
+            % len(unknown))
+    unknown_pos = unknown[0]
     result = acquire_syntax(words, lexicon,
                             max_unknowns=max_unknowns, filter_on=filter_on)
-    if len(result.unknown_positions) != 1:
-        raise ValueError("classification needs exactly one unknown word, "
-                         "found %d" % len(result.unknown_positions))
-    unknown_pos = result.unknown_positions[0]
     witness = result.linkages[0]
     slots = slot_links(witness)
     # the unknown word's neighbours left to right, each with the side of

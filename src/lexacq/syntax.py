@@ -84,22 +84,22 @@ def _count_reason(side: str, available: int) -> str:
         side, available, word, side)
 
 
-def _cause_reason(kinds) -> str:
-    """The first of the failure kinds in FAILURE_KINDS order, as a reason.
+def _cause_reason(mask: int) -> str:
+    """The lowest failure kind set in the FAILURE_KINDS mask, as a reason.
     Every search branch ends in a solution or a failure, so an unsupported
     disjunct with no failure kinds was never tried."""
-    kind = next((kind for kind in FAILURE_KINDS if kind in kinds), None)
-    return "not reached" if kind is None else "%s conflict" % kind
+    if not mask:
+        return "not reached"
+    return "%s conflict" % FAILURE_KINDS[(mask & -mask).bit_length() - 1]
 
 
-def _prune(words: tuple[str, ...], known: Mapping[int, tuple[Disjunct, ...]],
-           unknown: frozenset[int]):
+def _prune(words: tuple[str, ...], known: Mapping[int, tuple[Disjunct, ...]]):
     """Two-pass pruning of the known positions' entries; returns
     (survivors, trace, solve outcome).
 
     Pass 1 removes disjuncts needing more words to one side than exist;
     pass 2 keeps exactly the disjuncts used by some valid linkage when
-    unknown positions act as wildcards; when pass 1 leaves a word nothing,
+    the other positions act as wildcards; when pass 1 leaves a word nothing,
     no linkage exists and pass 2 names that word.  Scanning is by position
     then entry order, so the trace replays eliminations deterministically.
     """
@@ -118,16 +118,13 @@ def _prune(words: tuple[str, ...], known: Mapping[int, tuple[Disjunct, ...]],
             else:
                 survivors[p].append(d)
 
-    candidates: list = [None] * n
-    for p, ds in survivors.items():
-        candidates[p] = tuple(ds)
-    outcome = solve(words, candidates, unknown=unknown, collect_causes=True)
+    candidates = [tuple(survivors[p]) if p in survivors else None
+                  for p in range(n)]
+    outcome = solve(candidates, collect_causes=True)
     emptied = next((p for p, ds in survivors.items() if not ds), None)
 
-    supported = set()
-    for sol in outcome.solutions:
-        for p in known:
-            supported.add((p, sol.choices[p]))
+    supported = {(p, sol.choices[p]) for sol in outcome.solutions
+                 for p in known}
     pruned: dict[int, tuple[Disjunct, ...]] = {}
     for p in sorted(survivors):
         kept = []
@@ -137,7 +134,7 @@ def _prune(words: tuple[str, ...], known: Mapping[int, tuple[Disjunct, ...]],
             else:
                 reason = ("word %d has no disjunct left" % emptied
                           if emptied is not None
-                          else _cause_reason(outcome.causes.get((p, d), ())))
+                          else _cause_reason(outcome.causes.get((p, d), 0)))
                 trace.append(TraceEvent("eliminate", p, words[p], d, reason))
         pruned[p] = tuple(kept)
     return pruned, trace, outcome
@@ -246,7 +243,7 @@ def acquire_syntax(
             % (len(unknown), max_unknowns,
                ", ".join(words[p] for p in unknown)))
 
-    pruned, trace, outcome = _prune(words, known, frozenset(unknown))
+    pruned, trace, outcome = _prune(words, known)
     if not outcome.solutions:
         raise NoSolutionError(
             "no valid linkage for %r" % (" ".join(words),), trace)
@@ -305,7 +302,7 @@ def acquire_syntax(
                   for i, p in enumerate(unknown)}
 
     # each joint's witness is its smallest solution of the pruning solve
-    linkages = [linkages_from(words, [joint_map[key]])[0] for key in surviving]
+    linkages = linkages_from(words, [joint_map[key] for key in surviving])
     if filter_on and not novel:
         linkages = [_substituted(l, unknown, inventory) for l in linkages]
 

@@ -5,9 +5,10 @@ of matching connector occurrences, keeping the candidates that pass
 `validate`.  It is independent of the solver's search, and capped for
 tractability.
 
-`reference_solve` is the earlier form of `linker.solve`: the same search,
-which collects failure causes by pushing each (position, disjunct) pair on
-a shared path and tagging the whole path at every failed branch.
+`reference_solve` is the earlier form of `linker.solve`, under the same
+contract: the same search, which collects failure causes by pushing each
+(position, disjunct) pair on a shared path and tagging the whole path with
+a set of kinds at every failed branch.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 from typing import Optional, Sequence
 
 from lexacq.lexicon import Disjunct, Lexicon
-from lexacq.linker import (MAX_SENTENCE_WORDS, Link, Linkage,
+from lexacq.linker import (FAILURE_KINDS, MAX_SENTENCE_WORDS, Link, Linkage,
                            SentenceTooLongError, Solution, SolveOutcome,
                            UnknownWordError, _reachable, _read_off,
                            link_label, match, validate)
@@ -83,26 +84,28 @@ def enumerate_bruteforce(
 
 
 def reference_solve(
-    words: Sequence[str],
     candidates: Sequence[Optional[Sequence[Disjunct]]],
-    unknown: frozenset[int] = frozenset(),
     collect_causes: bool = False,
 ) -> SolveOutcome:
-    """Enumerate every valid linkage by depth-first search.
+    """Enumerate every valid linkage by depth-first search, under the same
+    contract as `linker.solve`.
 
-    `candidates[p]` is the disjunct sequence tried at position p; positions
-    in `unknown` are wildcards that may absorb any open rightward connector
-    and may open connectors for later known words to absorb.  A wildcard
-    never links to another wildcard: no known requirement would justify the
-    link.  When `collect_causes` is set, each known (position, disjunct)
-    pair taking part in a failed branch is tagged with the failure kinds it
-    witnessed (ordering, exclusion, connectivity).  Raises
-    SentenceTooLongError past MAX_SENTENCE_WORDS words.
+    `candidates[p]` is the disjunct sequence tried at position p, or None
+    for a wildcard that may absorb any open rightward connector and may
+    open connectors for later known words to absorb; never a wildcard's,
+    as no known requirement would justify that link.  When
+    `collect_causes` is set, each known (position, disjunct) pair taking
+    part in a failed branch is tagged with the failure kinds it witnessed
+    (ordering, exclusion, connectivity), and the tags become FAILURE_KINDS
+    masks at the end.  Raises SentenceTooLongError past MAX_SENTENCE_WORDS
+    words.
     """
-    n = len(words)
+    n = len(candidates)
     if n > MAX_SENTENCE_WORDS:
         raise SentenceTooLongError(n)
-    out = SolveOutcome([], causes={} if collect_causes else None)
+    unknown = {p for p, ds in enumerate(candidates) if ds is None}
+    out = SolveOutcome([])
+    blamed: dict = {}  # (pos, disjunct) -> set of failure kinds
     applied: list = []  # (pos, disjunct) pairs on the current path
 
     # a wildcard may open at most as many connectors as the words after it
@@ -115,12 +118,12 @@ def reference_solve(
         push_cap[p] = cap
 
     def blame(kind: str, extra=None) -> None:
-        if out.causes is None:
+        if not collect_causes:
             return
         for key in applied:
-            out.causes.setdefault(key, set()).add(kind)
+            blamed.setdefault(key, set()).add(kind)
         if extra is not None:
-            out.causes.setdefault(extra, set()).add(kind)
+            blamed.setdefault(extra, set()).add(kind)
 
     def record_solution(links: tuple) -> None:
         by_pos = dict(applied)
@@ -193,4 +196,6 @@ def reference_solve(
             applied.pop()
 
     at(0, (), ())
+    out.causes = {key: sum(1 << FAILURE_KINDS.index(kind) for kind in kinds)
+                  for key, kinds in blamed.items()}
     return out

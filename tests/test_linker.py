@@ -170,6 +170,16 @@ def test_parse_stops_past_the_search_budget(lexicon, monkeypatch):
         parse(words, lexicon)
 
 
+def test_solve_skips_a_sentence_with_a_known_word_of_no_candidates(lexicon):
+    # a known word with nothing to try links nothing, so no node is searched
+    # even with a wildcard elsewhere to absorb its neighbours' connectors
+    candidates = [lexicon.lookup("the"), (), None, lexicon.lookup("meat")]
+    for collect_causes in (False, True):
+        outcome = solve(candidates, collect_causes)
+        assert (outcome.solutions, outcome.nodes, outcome.causes) == (
+            [], 0, {})
+
+
 def test_parse_single_word_needs_empty_disjunct(lexicon):
     assert parse(["meat"], lexicon) == []
     lex = parse_lexicon("z: (( ) ( ))")
@@ -361,7 +371,7 @@ def test_solve_agrees_with_oracle_on_random_grammars(case):
     # word u as a wildcard, renamed wug
     candidates = [lex.lookup(w) for w in words]
     candidates[u] = None
-    solutions = solve(words, candidates, unknown=frozenset({u})).solutions
+    solutions = solve(candidates).solutions
     masked = list(words)
     masked[u] = "wug"
     read_off = {sol.choices[u] for sol in solutions}
@@ -394,9 +404,8 @@ def test_solve_matches_the_reference_search(case):
     lex, words, u = case
     candidates = [lex.lookup(w) for w in words]
     wildcard = candidates[:u] + [None] + candidates[u + 1:]
-    for cands, unknown in ((candidates, frozenset()),
-                           (wildcard, frozenset({u}))):
+    for cands in (candidates, wildcard):
         for collect_causes in (False, True):
-            assert solve(words, cands, unknown, collect_causes) == (
-                reference_solve(words, cands, unknown, collect_causes))
+            assert solve(cands, collect_causes) == (
+                reference_solve(cands, collect_causes))
 

@@ -17,6 +17,7 @@ from lexacq.semantics import (
     SemanticTag,
     TaggedDisjunct,
     UnknownConceptError,
+    UnknownCountError,
     classify_unknown,
     generalize,
     parse_semlex,
@@ -398,10 +399,12 @@ def test_classify_without_usable_usage_raises(lexicon, hierarchies):
 
 
 @pytest.mark.parametrize("sentence", ["the condor eats meat",
-                                      "the snipe eats the wug"])
+                                      "the snipe eats the wug",
+                                      "meat eats the cow"])
 def test_classify_needs_exactly_one_unknown(lexicon, hierarchies,
                                             trained_semlex, sentence):
-    with pytest.raises(ValueError, match="exactly one unknown word"):
+    # counted before any search, so an unlinkable sentence is refused too
+    with pytest.raises(UnknownCountError, match="exactly one unknown word"):
         classify_unknown(sentence.split(), lexicon, trained_semlex,
                          hierarchies)
 

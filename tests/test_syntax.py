@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from lexacq.lexicon import (Connector, Disjunct, Lexicon, LexiconError,
                             parse_lexicon, serialize_lexicon)
-from lexacq.linker import (SearchBudgetError, SentenceTooLongError,
-                           compatible, linkages_from, parse, solve, validate)
+from lexacq.linker import (FAILURE_KINDS, SearchBudgetError,
+                           SentenceTooLongError, compatible, linkages_from,
+                           parse, solve, validate)
 from lexacq.syntax import (
     NoSolutionError,
     TooManyUnknownsError,
     TraceEvent,
+    _cause_reason,
     _frequencies,
     acquire_syntax,
     filter_by_inventory,
@@ -71,6 +73,17 @@ def test_prune_count_reasons(lexicon):
     assert any(
         e.reason == "left connector unsatisfiable: only 1 word to the left"
         for e in counted)
+
+
+@pytest.mark.parametrize("mask", range(8))
+def test_cause_reason_names_the_first_failure_kind(mask):
+    # the first kind of the mask's set in FAILURE_KINDS order: ordering,
+    # exclusion, connectivity; a pair no branch failed on was not reached
+    kinds = {kind for bit, kind in enumerate(FAILURE_KINDS) if mask >> bit & 1}
+    first = next((kind for kind in FAILURE_KINDS if kind in kinds), None)
+    assert _cause_reason(mask) == (
+        "not reached" if first is None else "%s conflict" % first)
+    assert FAILURE_KINDS == ("ordering", "exclusion", "connectivity")
 
 
 def test_trace_event_rendering():
@@ -436,7 +449,7 @@ def _witness_linkage(words, pruned, joint, lexicon, substitute):
                 candidates[p] = (h,)
         else:
             candidates[p] = pruned[p]
-    outcome = solve(words, candidates)
+    outcome = solve(candidates)
     if not outcome.solutions:
         return None
     best = min(outcome.solutions, key=lambda s: s.links)
