@@ -38,7 +38,6 @@ from .semantics import (
     HierarchyError,
     NoSemanticEvidenceError,
     SemanticLexicon,
-    SemanticTag,
     TaggedDisjunct,
     UnknownConceptError,
     UnknownCountError,
@@ -76,7 +75,6 @@ __all__ = [
     "NoSolutionError",
     "SearchBudgetError",
     "SemanticLexicon",
-    "SemanticTag",
     "SentenceTooLongError",
     "TaggedDisjunct",
     "TooManyUnknownsError",

@@ -5,7 +5,8 @@ leaves are words.  Parsing fully-known sentences tags each noun/verb
 connector with the word it linked to; repeated observations generalize by
 replacing tags with least common subsumers; an unknown word is classified
 by asking which generalized usages of its linked known words fit the rest
-of the sentence.
+of the sentence.  A tag is a concept's name: which hierarchy it belongs
+to, and so its kind, is asked of the hierarchies.
 """
 
 from __future__ import annotations
@@ -49,28 +50,30 @@ class UnknownCountError(ValueError):
 
 @dataclass(frozen=True)
 class ConceptHierarchy:
-    """A tree of concepts; children are more specific than parents."""
+    """A tree of concepts; children are more specific than parents.  Its
+    root is the parent of the first of its (parent, child) edges."""
 
     kind: str  # noun | verb
-    root: str
-    parent: Mapping[str, str]  # child -> parent; root has no entry
-    edges: tuple[tuple[str, str], ...] = ()
+    edges: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "parent", dict(self.parent))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "_interior",
-                           frozenset(p for p, _ in self.edges))
-        object.__setattr__(self, "_chains", {})  # name -> ancestors tuple
         if self.kind not in ("noun", "verb"):
             raise HierarchyError("bad hierarchy kind %r" % (self.kind,))
+        edges = tuple(self.edges)
+        if not edges:
+            raise HierarchyError("empty hierarchy")
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "root", edges[0][0])
+        # child -> parent; the root has no entry
+        object.__setattr__(self, "parent", {c: p for p, c in edges})
+        object.__setattr__(self, "_interior", frozenset(p for p, _ in edges))
+        object.__setattr__(self, "_chains", {})  # name -> ancestors tuple
 
     @classmethod
     def parse(cls, text: str, kind: str) -> "ConceptHierarchy":
         """One `parent > child` edge per line; the first line's parent is
         the root.  `#` starts a comment."""
-        edges = _read_hierarchy(text) or _walk_hierarchy(text)
-        return cls(kind, edges[0][0], {c: p for p, c in edges}, edges)
+        return cls(kind, _read_hierarchy(text) or _walk_hierarchy(text))
 
     def serialize(self) -> str:
         return "".join("%s > %s\n" % e for e in self.edges)
@@ -173,49 +176,49 @@ class ConceptHierarchies:
     nouns: ConceptHierarchy
     verbs: ConceptHierarchy
 
-    def get(self, kind: str) -> ConceptHierarchy:
-        if kind == "noun":
-            return self.nouns
-        if kind == "verb":
-            return self.verbs
-        raise HierarchyError("bad hierarchy kind %r" % (kind,))
+    def __post_init__(self):
+        if (self.nouns.kind, self.verbs.kind) != ("noun", "verb"):
+            raise HierarchyError("hierarchy kinds %s, %s are not noun, verb"
+                                 % (self.nouns.kind, self.verbs.kind))
+
+    def hierarchy_of(self, name: str) -> Optional[ConceptHierarchy]:
+        """The hierarchy a name belongs to; None if neither."""
+        in_nouns = name in self.nouns
+        if name not in self.verbs:
+            return self.nouns if in_nouns else None
+        if in_nouns:
+            raise HierarchyError("%r appears in both hierarchies" % (name,))
+        return self.verbs
 
     def kind_of(self, name: str) -> Optional[str]:
         """Which hierarchy a name belongs to; None if neither."""
-        in_nouns = name in self.nouns
-        in_verbs = name in self.verbs
-        if in_nouns and in_verbs:
-            raise HierarchyError(
-                "%r appears in both hierarchies" % (name,))
-        if in_nouns:
-            return "noun"
-        if in_verbs:
-            return "verb"
-        return None
+        h = self.hierarchy_of(name)
+        return None if h is None else h.kind
 
     def leaf_kind_of(self, word: str) -> Optional[str]:
         """Which hierarchy the word is a leaf of; None if not a leaf."""
-        kind = self.kind_of(word)
-        if kind is not None and self.get(kind).is_leaf(word):
-            return kind
-        return None
+        h = self.hierarchy_of(word)
+        return h.kind if h is not None and h.is_leaf(word) else None
+
+
+def _concept_hierarchy(hiers: ConceptHierarchies,
+                       tag: str) -> ConceptHierarchy:
+    """The hierarchy of a tag, which must name a concept of one."""
+    h = hiers.hierarchy_of(tag)
+    if h is None:
+        raise UnknownConceptError("%r is not a concept" % (tag,))
+    return h
 
 
 # --- tagged lexical entries --------------------------------------------------
 
 @dataclass(frozen=True)
-class SemanticTag:
-    value: str
-    kind: str  # noun | verb
-
-
-@dataclass(frozen=True)
 class TaggedDisjunct:
-    """A disjunct whose connectors may carry tags naming what they linked
-    to, plus the number of merged observations supporting it."""
+    """A disjunct whose connectors may carry tags naming the concept they
+    linked to, plus the number of merged observations supporting it."""
 
     shape: Disjunct
-    tags: tuple  # ((slot, SemanticTag), ...), left slots first
+    tags: tuple  # ((slot, concept name), ...), left slots first
     support: int = 1
 
     def __post_init__(self):
@@ -230,14 +233,14 @@ class TaggedDisjunct:
         if self.support < 1:
             raise ValueError("support must be positive")
 
-    def tag_at(self, side: str, index: int) -> Optional[SemanticTag]:
+    def tag_at(self, side: str, index: int) -> Optional[str]:
         return dict(self.tags).get((side, index))
 
     def __str__(self) -> str:
         left = [str(c) for c in self.shape.left]
         right = [str(c) for c in self.shape.right]
         for (side, index), tag in self.tags:
-            (left if side == "left" else right)[index] += "_" + tag.value
+            (left if side == "left" else right)[index] += "_" + tag
         return "((%s) (%s))" % (",".join(left) or " ", ",".join(right) or " ")
 
 
@@ -366,9 +369,8 @@ def _tagged_words(linkage: Linkage, hiers: ConceptHierarchies):
             for index, link in enumerate(links):
                 other_word = linkage.words[
                     link.left if side == "left" else link.right]
-                kind = hiers.leaf_kind_of(other_word)
-                if kind is not None:
-                    tags[(side, index)] = SemanticTag(other_word, kind)
+                if hiers.leaf_kind_of(other_word) is not None:
+                    tags[(side, index)] = other_word
         if tags:
             yield word, TaggedDisjunct(d, tuple(tags.items()))
 
@@ -376,19 +378,22 @@ def _tagged_words(linkage: Linkage, hiers: ConceptHierarchies):
 def _try_merge(a: TaggedDisjunct, b: TaggedDisjunct,
                hiers: ConceptHierarchies) -> Optional[TaggedDisjunct]:
     """Merge two observations of one shape, tagged at the same slots with
-    tags of the same kinds, when every tag generalizes strictly below the
-    root; None when they must stay separate."""
+    concepts of the same hierarchies, when every pair of tags generalizes
+    strictly below the root; None when they must stay separate."""
     if a.shape != b.shape or len(a.tags) != len(b.tags):
         return None
     merged = []
     for (slot, tag_a), (slot_b, tag_b) in zip(a.tags, b.tags):
-        if slot != slot_b or tag_a.kind != tag_b.kind:
+        if slot != slot_b:
             return None
-        h = hiers.get(tag_a.kind)
-        general = h.lcs(tag_a.value, tag_b.value)
+        h = _concept_hierarchy(hiers, tag_a)
+        if tag_b not in h:
+            _concept_hierarchy(hiers, tag_b)  # raises for a name in neither
+            return None
+        general = h.lcs(tag_a, tag_b)
         if general == h.root:
             return None
-        merged.append((slot, SemanticTag(general, tag_a.kind)))
+        merged.append((slot, general))
     return TaggedDisjunct(a.shape, tuple(merged), a.support + b.support)
 
 
@@ -400,8 +405,8 @@ def generalize(semlex: SemanticLexicon,
     One pass suffices.  A merge only replaces tags by their least common
     subsumers, and the LCS of a more general tag with any x is no deeper
     than before, so a pair that could not merge (different shape, slots
-    or kinds, or an LCS at the root) never can later.  After a merge at
-    (i, j) the scan therefore goes on with the item now at j.
+    or hierarchies, or an LCS at the root) never can later.  After a merge
+    at (i, j) the scan therefore goes on with the item now at j.
 
     The result is not pooled again, as it holds no two equal observations:
     two equal ones with no tag at the root would merge, and one with a tag
@@ -435,7 +440,7 @@ class Evidence:
 
     word: str
     usage: TaggedDisjunct
-    facts: tuple  # ((filler, tag value), ...)
+    facts: tuple  # ((filler, tag), ...)
 
 
 def classify_unknown(
@@ -498,14 +503,14 @@ def classify_unknown(
                 other_link = links_at[other_side][other_index]
                 filler = witness.words[other_link.left if other_side == "left"
                                        else other_link.right]
-                h = hiers.get(tag.kind)
-                if filler not in h or not h.subsumes(tag.value, filler):
+                h = _concept_hierarchy(hiers, tag)
+                if filler not in h or not h.subsumes(tag, filler):
                     fits = False
                     break
-                facts.append((filler, tag.value))
-            if fits and emitted.value not in seen_concepts:
-                seen_concepts.add(emitted.value)
-                found.append((emitted.value,
+                facts.append((filler, tag))
+            if fits and emitted not in seen_concepts:
+                seen_concepts.add(emitted)
+                found.append((emitted,
                               Evidence(witness.words[q], usage, tuple(facts))))
     if not any_tagged:
         raise NoSemanticEvidenceError(
@@ -557,7 +562,7 @@ def _walk_semlex(text: str, hiers: ConceptHierarchies) -> SemanticLexicon:
                     if kind is None:
                         raise LexiconError(
                             "tag %r is in neither hierarchy" % tag_name, line)
-                    tags[(side, i)] = SemanticTag(tag_name, kind)
+                    tags[(side, i)] = tag_name
             support = 1
             if toks.peek() == ";":
                 toks.take()
@@ -592,9 +597,8 @@ _SEMLEX_ITEM_RE = re.compile(
         _body_pattern("%s(?:_%s)?" % (_CONNECTOR_PATTERN, _NAME_PATTERN))))
 
 
-def _tagged_body(body: str, kinds: Mapping[str, str]) -> TaggedDisjunct:
-    """The observation, with support 1, of a body the item regex matched;
-    kinds maps each of its tag names to its hierarchy kind."""
+def _tagged_body(body: str) -> TaggedDisjunct:
+    """The observation, with support 1, of a body the item regex matched."""
     sides, tags = [], []
     for side, tokens in zip(("left", "right"), _body_tokens(body)):
         conns = []
@@ -602,13 +606,12 @@ def _tagged_body(body: str, kinds: Mapping[str, str]) -> TaggedDisjunct:
             name, _, tag_name = token.partition("_")
             conns.append(Connector.parse(name))
             if tag_name:
-                tag = SemanticTag(tag_name, kinds[tag_name])
-                tags.append(((side, i), tag))
+                tags.append(((side, i), tag_name))
         sides.append(tuple(conns))
     return TaggedDisjunct(Disjunct(*sides), tuple(tags))
 
 
-def _builder(kinds: Mapping[str, str]):
+def _builder():
     """Turns a word's raw (body, support) items into its pooled
     observations.  One per parsed value, so that a body text is read once."""
     parsed: dict[str, TaggedDisjunct] = {}  # body text -> observation
@@ -616,7 +619,7 @@ def _builder(kinds: Mapping[str, str]):
     def observation(body: str, support: int) -> TaggedDisjunct:
         obs = parsed.get(body)
         if obs is None:
-            obs = parsed[body] = _tagged_body(body, kinds)
+            obs = parsed[body] = _tagged_body(body)
         return obs if support == 1 else _with_support(obs, support)
 
     return lambda items: _pooled(observation(*item) for item in items)
@@ -655,18 +658,16 @@ def _read_semlex(text: str, hiers: ConceptHierarchies
     if text[pos:].strip():
         return None
     try:
-        kinds = {name: hiers.kind_of(name)
-                 for name in set(_TAG_NAME_RE.findall(text))}
-    except HierarchyError:  # a name in both hierarchies
+        if None in map(hiers.kind_of, set(_TAG_NAME_RE.findall(text))):
+            return None  # a name in neither hierarchy
+    except HierarchyError:  # a name in both
         return None
-    if None in kinds.values():  # a name in neither
-        return None
-    return SemanticLexicon._of(table, _builder(kinds))
+    return SemanticLexicon._of(table, _builder())
 
 
 def parse_semlex(text: str, hiers: ConceptHierarchies) -> SemanticLexicon:
-    """Parse a tagged lexicon.  Tags are `_name` connector suffixes whose
-    hierarchy kind is resolved against `hiers`; `;support=N` follows a
+    """Parse a tagged lexicon.  Tags are `_name` connector suffixes, each
+    naming a concept of exactly one of `hiers`; `;support=N` follows a
     disjunct.  Raises LexiconError with a line number; a malformed entry
     is reported here, before any lookup."""
     semlex = _read_semlex(text, hiers)

@@ -37,7 +37,6 @@ from lexacq.semantics import (
     ConceptHierarchy,
     HierarchyError,
     SemanticLexicon,
-    SemanticTag,
     TaggedDisjunct,
     _read_hierarchy,
     _read_semlex,
@@ -54,8 +53,7 @@ HIERS = ConceptHierarchies(
         "thing > animal\nanimal > cow\nthing > food\nfood > meat\n", "noun"),
     ConceptHierarchy.parse("action > eats\naction > cow\n", "verb"),
 )
-TAG_KINDS = {"thing": "noun", "animal": "noun", "food": "noun",
-             "meat": "noun", "action": "verb", "eats": "verb"}
+TAG_NAMES = ["action", "animal", "eats", "food", "meat", "thing"]
 
 LEXICON_ERRORS = [
     # bad character
@@ -309,8 +307,7 @@ def observations(draw):
     tagged = draw(st.lists(st.sampled_from(slots), unique=True)) if slots else []
     tags = []
     for slot in tagged:
-        value = draw(st.sampled_from(sorted(TAG_KINDS)))
-        tags.append((slot, SemanticTag(value, TAG_KINDS[value])))
+        tags.append((slot, draw(st.sampled_from(TAG_NAMES))))
     return TaggedDisjunct(shape, tuple(tags), draw(st.integers(1, 120)))
 
 
@@ -464,8 +461,8 @@ def test_semlex_pools_equal_observations_spaced_apart():
 
 
 def _eager_tagged_body(body, hiers) -> Optional[TaggedDisjunct]:
-    """Reference: the observation of a matched body, resolving its tags;
-    None when a tag names no single concept."""
+    """Reference: the observation of a matched body; None when a tag
+    names no single concept."""
     sides, tags = [], []
     for side, tokens in zip(("left", "right"), _body_tokens(body)):
         conns = []
@@ -479,7 +476,7 @@ def _eager_tagged_body(body, hiers) -> Optional[TaggedDisjunct]:
                     return None
                 if kind is None:
                     return None
-                tags.append(((side, i), SemanticTag(tag_name, kind)))
+                tags.append(((side, i), tag_name))
         sides.append(tuple(conns))
     return TaggedDisjunct(Disjunct(*sides), tuple(tags))
 
@@ -560,9 +557,9 @@ def test_semlex_builds_a_words_observations_on_its_first_lookup(monkeypatch):
     built = []
     tagged_body = semantics._tagged_body
 
-    def counting(body, kinds):
+    def counting(body):
         built.append(body)
-        return tagged_body(body, kinds)
+        return tagged_body(body)
 
     monkeypatch.setattr(semantics, "_tagged_body", counting)
     semlex = parse_semlex(

@@ -14,7 +14,6 @@ from lexacq.semantics import (
     HierarchyError,
     NoSemanticEvidenceError,
     SemanticLexicon,
-    SemanticTag,
     TaggedDisjunct,
     UnknownConceptError,
     UnknownCountError,
@@ -93,7 +92,32 @@ def test_hierarchy_round_trip(hierarchies):
     assert again == hierarchies.nouns
 
 
+def test_hand_built_hierarchy_equals_the_parsed_one():
+    h = ConceptHierarchy("noun", (("animal", "cow"),))
+    assert h == ConceptHierarchy.parse("animal > cow\n", "noun")
+    assert h.root == "animal" and not h.is_leaf("animal")
+    assert h.is_leaf("cow")
+    assert h.serialize() == "animal > cow\n"
+    assert ConceptHierarchy.parse(h.serialize(), "noun") == h
+
+
+def test_hierarchy_without_edges_is_an_error():
+    with pytest.raises(HierarchyError, match="empty hierarchy"):
+        ConceptHierarchy("noun", ())
+
+
+def test_hierarchies_of_the_wrong_kinds_are_an_error(hierarchies):
+    nouns, verbs = hierarchies.nouns, hierarchies.verbs
+    with pytest.raises(HierarchyError):
+        ConceptHierarchies(verbs, nouns)
+    with pytest.raises(HierarchyError):
+        ConceptHierarchies(nouns, nouns)
+
+
 def test_kind_of_selects_hierarchy(hierarchies):
+    assert hierarchies.hierarchy_of("animal") is hierarchies.nouns
+    assert hierarchies.hierarchy_of("eats") is hierarchies.verbs
+    assert hierarchies.hierarchy_of("the") is None
     assert hierarchies.kind_of("cow") == "noun"
     assert hierarchies.kind_of("eats") == "verb"
     assert hierarchies.kind_of("the") is None
@@ -141,12 +165,12 @@ def test_tag_sentence_records_linked_nouns_and_verbs(lexicon, hierarchies):
     semlex = tag_sentence(linkage, hierarchies, SemanticLexicon(), lexicon)
     assert set(semlex.words()) == {"condor", "eats", "meat"}
     assert semlex.lookup("eats") == (
-        TD("((Ss) (O))", {("left", 0): SemanticTag("condor", "noun"),
-                          ("right", 0): SemanticTag("meat", "noun")}),)
+        TD("((Ss) (O))", {("left", 0): "condor",
+                          ("right", 0): "meat"}),)
     assert semlex.lookup("condor") == (
-        TD("((Ds) (Ss))", {("right", 0): SemanticTag("eats", "verb")}),)
+        TD("((Ds) (Ss))", {("right", 0): "eats"}),)
     assert semlex.lookup("meat") == (
-        TD("((Os) ( ))", {("left", 0): SemanticTag("eats", "verb")}),)
+        TD("((Os) ( ))", {("left", 0): "eats"}),)
 
 
 def test_tag_sentence_rejects_an_unsaturated_linkage(lexicon, hierarchies):
@@ -170,22 +194,22 @@ def test_tag_sentence_skips_untaggable_words(lexicon, hierarchies):
     assert "the" not in semlex and "big" not in semlex
     # cow's adjective link contributes no tag, only the verb link does
     assert semlex.lookup("cow") == (
-        TD("((A,Ds) (Ss))", {("right", 0): SemanticTag("eats", "verb")}),)
+        TD("((A,Ds) (Ss))", {("right", 0): "eats"}),)
 
 
 def test_constructor_pools_equal_observations(hierarchies):
-    a = TD("((Ss) (O))", {("left", 0): SemanticTag("cow", "noun")})
-    b = TD("((Ss) (O))", {("right", 0): SemanticTag("cow", "noun")})
-    a2 = TD("((Ss) (O))", {("left", 0): SemanticTag("cow", "noun")}, 2)
+    a = TD("((Ss) (O))", {("left", 0): "cow"})
+    b = TD("((Ss) (O))", {("right", 0): "cow"})
+    a2 = TD("((Ss) (O))", {("left", 0): "cow"}, 2)
     semlex = SemanticLexicon({"w": (a, b, a2)})
     assert semlex.lookup("w") == (TD("((Ss) (O))", a.tags, 3), b)
     assert parse_semlex(serialize_semlex(semlex), hierarchies) == semlex
 
 
 def test_observe_pools_into_the_first_equal_observation():
-    a = TD("((Ss) ( ))", {("left", 0): SemanticTag("cow", "noun")})
-    b = TD("((Os) ( ))", {("left", 0): SemanticTag("eats", "verb")})
-    c = TD("((Ss) ( ))", {("left", 0): SemanticTag("corn", "noun")})
+    a = TD("((Ss) ( ))", {("left", 0): "cow"})
+    b = TD("((Os) ( ))", {("left", 0): "eats"})
+    c = TD("((Ss) ( ))", {("left", 0): "corn"})
     semlex = SemanticLexicon({"w": (a, b)})
     assert semlex.observe("w", TD("((Ss) ( ))", a.tags, 2)).lookup("w") == (
         TD("((Ss) ( ))", a.tags, 3), b)
@@ -197,15 +221,15 @@ def test_observe_pools_into_the_first_equal_observation():
 def test_walker_pools_equal_bodies(hierarchies):
     text = ("w: ((Ss_cow) ( )) | ((Os) ( )) | (( Ss_cow ) ( )) ;support=2"
             " | ((Ss_cow) ( ))\n")
-    cow = {("left", 0): SemanticTag("cow", "noun")}
+    cow = {("left", 0): "cow"}
     expected = (TD("((Ss) ( ))", cow, 4), TD("((Os) ( ))", {}))
     assert _walk_semlex(text, hierarchies).lookup("w") == expected
     assert parse_semlex(text, hierarchies).lookup("w") == expected
 
 
 def test_tagged_disjunct_str():
-    td = TD("((Ss) (O))", {("left", 0): SemanticTag("animal", "noun"),
-                           ("right", 0): SemanticTag("food", "noun")}, 2)
+    td = TD("((Ss) (O))", {("left", 0): "animal",
+                           ("right", 0): "food"}, 2)
     assert str(td) == "((Ss_animal) (O_food))"
 
 
@@ -218,17 +242,27 @@ def test_generalize_merges_below_root(trained_semlex):
 
 
 def test_generalize_does_not_merge_through_root(hierarchies):
-    a = TD("((Ss) ( ))", {("left", 0): SemanticTag("cow", "noun")})
-    b = TD("((Ss) ( ))", {("left", 0): SemanticTag("gasoline", "noun")})
+    a = TD("((Ss) ( ))", {("left", 0): "cow"})
+    b = TD("((Ss) ( ))", {("left", 0): "gasoline"})
     semlex = SemanticLexicon({"v": (a, b)})
     assert generalize(semlex, hierarchies).lookup("v") == (a, b)
 
 
 def test_generalize_requires_same_tagged_slots(hierarchies):
-    a = TD("((Ss) (O))", {("left", 0): SemanticTag("cow", "noun")})
-    b = TD("((Ss) (O))", {("right", 0): SemanticTag("meat", "noun")})
+    a = TD("((Ss) (O))", {("left", 0): "cow"})
+    b = TD("((Ss) (O))", {("right", 0): "meat"})
     semlex = SemanticLexicon({"v": (a, b)})
     assert generalize(semlex, hierarchies).lookup("v") == (a, b)
+
+
+@pytest.mark.parametrize("first, second", [("unicorn", "cow"),
+                                           ("cow", "unicorn")])
+def test_generalize_rejects_a_tag_naming_no_concept(hierarchies, first,
+                                                     second):
+    semlex = SemanticLexicon({"v": (TD("((Ss) ( ))", {("left", 0): first}),
+                                    TD("((Ss) ( ))", {("left", 0): second}))})
+    with pytest.raises(UnknownConceptError):
+        generalize(semlex, hierarchies)
 
 
 def _restart_generalize(semlex, hiers):
@@ -287,7 +321,7 @@ def _semlex_and_hierarchies(draw):
     repeated, and of support 1-3."""
     hiers = ConceptHierarchies(draw(_hierarchy("noun", "n")),
                                draw(_hierarchy("verb", "v")))
-    nodes = {kind: sorted(hiers.get(kind).nodes()) for kind in ("noun", "verb")}
+    nodes = {h.kind: sorted(h.nodes()) for h in (hiers.nouns, hiers.verbs)}
     table = {}
     for word in ("w1", "w2", "w3")[:draw(st.integers(1, 3))]:
         templates = draw(st.lists(_template(), min_size=1, max_size=2))
@@ -299,7 +333,7 @@ def _semlex_and_hierarchies(draw):
                 continue
             shape, kinds = (draw(_template()) if pick == 1
                             else draw(st.sampled_from(templates)))
-            tags = tuple((slot, SemanticTag(draw(st.sampled_from(nodes[k])), k))
+            tags = tuple((slot, draw(st.sampled_from(nodes[k])))
                          for slot, k in kinds.items() if k is not None)
             items.append(TaggedDisjunct(shape, tags, draw(st.integers(1, 3))))
         table[word] = items
@@ -398,6 +432,14 @@ def test_classify_without_usable_usage_raises(lexicon, hierarchies):
                          lexicon, SemanticLexicon(), hierarchies)
 
 
+def test_classify_rejects_a_tag_naming_no_concept(lexicon, hierarchies):
+    semlex = SemanticLexicon({"eats": (
+        TD("((Ss) (O))", {("left", 0): "animal", ("right", 0): "unicorn"}),)})
+    with pytest.raises(UnknownConceptError):
+        classify_unknown("the wug eats corn".split(), lexicon, semlex,
+                         hierarchies)
+
+
 @pytest.mark.parametrize("sentence", ["the condor eats meat",
                                       "the snipe eats the wug",
                                       "meat eats the cow"])
@@ -420,8 +462,8 @@ def test_semlex_round_trip(trained_semlex, hierarchies):
 def test_semlex_serialization_form(hierarchies):
     semlex = SemanticLexicon({
         "eats": (TD("((Ss) (O))",
-                    {("left", 0): SemanticTag("animal", "noun"),
-                     ("right", 0): SemanticTag("food", "noun")}, 2),)})
+                    {("left", 0): "animal",
+                     ("right", 0): "food"}, 2),)})
     assert serialize_semlex(semlex) == (
         "eats: ((Ss_animal) (O_food)) ;support=2\n")
 
