@@ -2,11 +2,12 @@
 
 Concepts live in two separate tree hierarchies (nouns and verbs) whose
 leaves are words.  Parsing fully-known sentences tags each noun/verb
-connector with the word it linked to; repeated observations generalize by
-replacing tags with least common subsumers; an unknown word is classified
-by asking which generalized usages of its linked known words fit the rest
-of the sentence.  A tag is a concept's name: which hierarchy it belongs
-to, and so its kind, is asked of the hierarchies.
+connector with the word it linked to; a word's observations of one shape
+whose tags sit, slot by slot, under the same children of the roots merge
+into one, tagged with least common subsumers; an unknown word is
+classified by asking which generalized usages of its linked known words
+fit the rest of the sentence.  A tag is a concept's name: which
+hierarchy it belongs to, and so its kind, is asked of the hierarchies.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ class UnknownCountError(ValueError):
 @dataclass(frozen=True)
 class ConceptHierarchy:
     """A tree of concepts; children are more specific than parents.  Its
-    root is the parent of the first of its (parent, child) edges."""
+    root is the parent of the first of its (parent, child) edges, and each
+    later edge's parent must be placed before it and its child not."""
 
     kind: str  # noun | verb
     edges: tuple[tuple[str, str], ...]
@@ -62,6 +64,11 @@ class ConceptHierarchy:
         edges = tuple(self.edges)
         if not edges:
             raise HierarchyError("empty hierarchy")
+        placed: set = set()
+        for p, c in edges:
+            problem = _misplaced(placed, p, c)
+            if problem is not None:
+                raise HierarchyError(problem)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "root", edges[0][0])
         # child -> parent; the root has no entry
@@ -73,7 +80,10 @@ class ConceptHierarchy:
     def parse(cls, text: str, kind: str) -> "ConceptHierarchy":
         """One `parent > child` edge per line; the first line's parent is
         the root.  `#` starts a comment."""
-        return cls(kind, _read_hierarchy(text) or _walk_hierarchy(text))
+        try:  # text the regex path cannot read has no edges
+            return cls(kind, _read_hierarchy(text) or ())
+        except HierarchyError:  # the line loop names the bad edge's line
+            return cls(kind, _walk_hierarchy(text))
 
     def serialize(self) -> str:
         return "".join("%s > %s\n" % e for e in self.edges)
@@ -119,10 +129,23 @@ class ConceptHierarchy:
         return next(node for node in self._chain(b) if node in above_a)
 
 
+def _misplaced(placed: set, parent: str, child: str) -> Optional[str]:
+    """Why edge parent > child cannot join a tree of the `placed` nodes (if
+    none, parent is the root); None when it can, and child is placed."""
+    if not placed:
+        placed.add(parent)
+    if parent not in placed:
+        return "parent %r not introduced yet" % (parent,)
+    if child in placed:
+        return "%r already has a place in the tree" % (child,)
+    placed.add(child)
+    return None
+
+
 def _walk_hierarchy(text: str) -> tuple:
     """The line loop's reading of hierarchy text; it raises HierarchyError
     with a line number at the first malformed or misplaced edge."""
-    edges, known = [], set()  # (parent, child)s; the nodes placed so far
+    edges, placed = [], set()  # (parent, child)s; the nodes placed so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -133,14 +156,9 @@ def _walk_hierarchy(text: str) -> tuple:
         for name in (p, c):
             if not _WORD_RE.match(name):
                 raise HierarchyError("bad concept name %r" % name, lineno)
-        if not edges:
-            known.add(p)  # the first parent is the root
-        if p not in known:
-            raise HierarchyError("parent %r not introduced yet" % p, lineno)
-        if c in known:
-            raise HierarchyError(
-                "%r already has a place in the tree" % c, lineno)
-        known.add(c)
+        problem = _misplaced(placed, p, c)
+        if problem is not None:
+            raise HierarchyError(problem, lineno)
         edges.append((p, c))
     if not edges:
         raise HierarchyError("empty hierarchy")
@@ -154,19 +172,14 @@ _EDGE_RE = re.compile(r"\s*({0}){1}>{1}({0}){1}(?=[{2}]|\Z)".format(
 
 
 def _read_hierarchy(text: str) -> Optional[tuple]:
-    """The edges of well-formed hierarchy text; None for anything else."""
+    """The edges of well-formed hierarchy text, placed or not; None for
+    anything else."""
     text = _uncomment(text)
-    edges, known = [], set()  # (parent, child)s; the nodes placed so far
+    edges = []
     pos = 0
     match = _EDGE_RE.match
     while (m := match(text, pos)) is not None:
-        p, c = m.groups()
-        if not edges:
-            known.add(p)
-        if p not in known or c in known:
-            return None
-        known.add(c)
-        edges.append((p, c))
+        edges.append(m.groups())
         pos = m.end()
     return tuple(edges) if edges and not text[pos:].strip() else None
 
@@ -375,58 +388,42 @@ def _tagged_words(linkage: Linkage, hiers: ConceptHierarchies):
             yield word, TaggedDisjunct(d, tuple(tags.items()))
 
 
-def _try_merge(a: TaggedDisjunct, b: TaggedDisjunct,
-               hiers: ConceptHierarchies) -> Optional[TaggedDisjunct]:
-    """Merge two observations of one shape, tagged at the same slots with
-    concepts of the same hierarchies, when every pair of tags generalizes
-    strictly below the root; None when they must stay separate."""
-    if a.shape != b.shape or len(a.tags) != len(b.tags):
-        return None
-    merged = []
-    for (slot, tag_a), (slot_b, tag_b) in zip(a.tags, b.tags):
-        if slot != slot_b:
-            return None
-        h = _concept_hierarchy(hiers, tag_a)
-        if tag_b not in h:
-            _concept_hierarchy(hiers, tag_b)  # raises for a name in neither
-            return None
-        general = h.lcs(tag_a, tag_b)
-        if general == h.root:
-            return None
-        merged.append((slot, general))
-    return TaggedDisjunct(a.shape, tuple(merged), a.support + b.support)
-
-
 def generalize(semlex: SemanticLexicon,
                hiers: ConceptHierarchies) -> SemanticLexicon:
-    """Greedy pairwise merging per word: the first mergeable pair in
-    insertion order merges into the earlier item, until no pair merges.
+    """Each word's observations merged by class: those of one shape whose
+    tags sit, slot by slot, under the same children of the roots merge into
+    the first of them, tagged with least common subsumers and supports
+    summed; one tagged at a root merges with nothing.
 
-    One pass suffices.  A merge only replaces tags by their least common
-    subsumers, and the LCS of a more general tag with any x is no deeper
-    than before, so a pair that could not merge (different shape, slots
-    or hierarchies, or an LCS at the root) never can later.  After a merge
-    at (i, j) the scan therefore goes on with the item now at j.
-
-    The result is not pooled again, as it holds no two equal observations:
-    two equal ones with no tag at the root would merge, and one with a tag
-    at the root never merges, so it is one of the input's, which holds no
-    two equal observations either."""
+    Two tags meet below the root exactly when they sit under one child of
+    it, and a merge keeps them there, so any order of pairwise merges gives
+    this, with no two equal observations left to pool.  A tag in neither
+    hierarchy raises UnknownConceptError, and one in both HierarchyError."""
+    tops: dict = {}  # tag -> (its hierarchy, (kind, root's child) or None)
     table = {}
     for word in semlex.words():
-        items = list(semlex.lookup(word))
-        i = 0
-        while i < len(items):
-            j = i + 1
-            while j < len(items):
-                merged = _try_merge(items[i], items[j], hiers)
-                if merged is None:
-                    j += 1
-                else:
-                    items[i] = merged
-                    del items[j]
-            i += 1
-        table[word] = tuple(items)
+        out: list[TaggedDisjunct] = []
+        at: dict[tuple, int] = {}  # merge class -> index in out
+        for obs in semlex.lookup(word):
+            key = [obs.shape]
+            for slot, tag in obs.tags:
+                if tag not in tops:
+                    h = _concept_hierarchy(hiers, tag)
+                    chain = h._chain(tag)
+                    tops[tag] = h, ((h.kind, chain[-2]) if chain[1:] else None)
+                key += slot, tops[tag][1]
+            i = at.get(key := tuple(key))
+            if i is None:
+                if None not in key:  # one tagged at a root has no class
+                    at[key] = len(out)
+                out.append(obs)
+            else:
+                first = out[i]
+                out[i] = TaggedDisjunct(first.shape, tuple(
+                    (slot, tops[b][0].lcs(a, b))
+                    for (slot, a), (_, b) in zip(first.tags, obs.tags)),
+                    first.support + obs.support)
+        table[word] = tuple(out)
     return SemanticLexicon._of(table, None)
 
 

@@ -9,6 +9,11 @@ tractability.
 contract: the same search, which collects failure causes by pushing each
 (position, disjunct) pair on a shared path and tagging the whole path with
 a set of kinds at every failed branch.
+
+`reference_generalize` is the earlier form of `semantics.generalize`: a
+greedy pairwise scan of each word's observations through `try_merge`,
+which merges two observations when every pair of their tags has a least
+common subsumer below the root.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from lexacq.linker import (FAILURE_KINDS, MAX_SENTENCE_WORDS, Link, Linkage,
                            SentenceTooLongError, Solution, SolveOutcome,
                            UnknownWordError, _reachable, _read_off,
                            link_label, match, validate)
+from lexacq.semantics import (ConceptHierarchies, SemanticLexicon,
+                              TaggedDisjunct, _concept_hierarchy)
 
 ORACLE_CAP_DEFAULT = 7
 
@@ -199,3 +206,49 @@ def reference_solve(
     out.causes = {key: sum(1 << FAILURE_KINDS.index(kind) for kind in kinds)
                   for key, kinds in blamed.items()}
     return out
+
+
+def try_merge(a: TaggedDisjunct, b: TaggedDisjunct,
+              hiers: ConceptHierarchies) -> Optional[TaggedDisjunct]:
+    """Merge two observations of one shape, tagged at the same slots with
+    concepts of the same hierarchies, when every pair of tags generalizes
+    strictly below the root; None when they must stay separate."""
+    if a.shape != b.shape or len(a.tags) != len(b.tags):
+        return None
+    merged = []
+    for (slot, tag_a), (slot_b, tag_b) in zip(a.tags, b.tags):
+        if slot != slot_b:
+            return None
+        h = _concept_hierarchy(hiers, tag_a)
+        if tag_b not in h:
+            _concept_hierarchy(hiers, tag_b)  # raises for a name in neither
+            return None
+        general = h.lcs(tag_a, tag_b)
+        if general == h.root:
+            return None
+        merged.append((slot, general))
+    return TaggedDisjunct(a.shape, tuple(merged), a.support + b.support)
+
+
+def reference_generalize(semlex: SemanticLexicon,
+                         hiers: ConceptHierarchies) -> SemanticLexicon:
+    """Greedy pairwise merging per word: the first mergeable pair in
+    insertion order merges into the earlier item, until no pair merges.
+    One pass suffices, as a pair that could not merge never can later:
+    after a merge at (i, j) the scan goes on with the item now at j."""
+    table = {}
+    for word in semlex.words():
+        items = list(semlex.lookup(word))
+        i = 0
+        while i < len(items):
+            j = i + 1
+            while j < len(items):
+                merged = try_merge(items[i], items[j], hiers)
+                if merged is None:
+                    j += 1
+                else:
+                    items[i] = merged
+                    del items[j]
+            i += 1
+        table[word] = tuple(items)
+    return SemanticLexicon(table)

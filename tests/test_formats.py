@@ -422,9 +422,16 @@ def test_hierarchy_reader_agrees_with_line_loop(text, edits):
     for edit in edits:
         text = _mutate(text, edit)
     expected = _hierarchy_outcome(_walk_hierarchy, text)
-    # the regex path accepts exactly what the line loop accepts
-    assert _read_hierarchy(text) == (
-        None if expected[0] == "error" else expected)
+    read = _read_hierarchy(text)
+    if read is not None and expected[0] == "error":
+        # well-formed edges that are no tree: the constructor refuses them
+        # with the line loop's message, less its line
+        with pytest.raises(HierarchyError) as info:
+            ConceptHierarchy("noun", read)
+        assert "line %d: %s" % (expected[2], info.value) == expected[1]
+    else:
+        # the regex path accepts exactly what the line loop accepts
+        assert read == (None if expected[0] == "error" else expected)
     assert _hierarchy_outcome(
         lambda t: ConceptHierarchy.parse(t, "noun").edges, text) == expected
 

@@ -23,7 +23,8 @@ from lexacq.semantics import (
     serialize_semlex,
     tag_sentence,
 )
-from lexacq.semantics import _tagged_words, _try_merge, _walk_semlex
+from lexacq.semantics import _tagged_words, _walk_semlex
+from oracle import reference_generalize, try_merge
 
 
 def D(text):
@@ -104,6 +105,18 @@ def test_hand_built_hierarchy_equals_the_parsed_one():
 def test_hierarchy_without_edges_is_an_error():
     with pytest.raises(HierarchyError, match="empty hierarchy"):
         ConceptHierarchy("noun", ())
+
+
+@pytest.mark.parametrize("edges, message", [
+    ((("a", "b"), ("c", "d"), ("d", "c")), "parent 'c' not introduced yet"),
+    ((("a", "b"), ("x", "y")), "parent 'x' not introduced yet"),
+    ((("a", "b"), ("a", "b")), "'b' already has a place in the tree"),
+])
+def test_hand_built_hierarchy_must_be_a_tree(edges, message):
+    # a cycle would hang ancestors(), and an unplaced parent raise KeyError
+    with pytest.raises(HierarchyError) as info:
+        ConceptHierarchy("noun", edges)
+    assert (str(info.value), info.value.line) == (message, None)
 
 
 def test_hierarchies_of_the_wrong_kinds_are_an_error(hierarchies):
@@ -265,6 +278,14 @@ def test_generalize_rejects_a_tag_naming_no_concept(hierarchies, first,
         generalize(semlex, hierarchies)
 
 
+def test_generalize_rejects_a_lone_tag_naming_no_concept(hierarchies):
+    # every tag is resolved, whether or not another observation meets it
+    semlex = SemanticLexicon({"v": (TD("((Ss) ( ))",
+                                       {("left", 0): "unicorn"}),)})
+    with pytest.raises(UnknownConceptError):
+        generalize(semlex, hierarchies)
+
+
 def _restart_generalize(semlex, hiers):
     """The reference generalize: after every merge the pairwise scan
     starts again from the first pair."""
@@ -276,7 +297,7 @@ def _restart_generalize(semlex, hiers):
             merged_any = False
             for i in range(len(items)):
                 for j in range(i + 1, len(items)):
-                    merged = _try_merge(items[i], items[j], hiers)
+                    merged = try_merge(items[i], items[j], hiers)
                     if merged is not None:
                         items[i] = merged
                         del items[j]
@@ -293,13 +314,19 @@ _SHAPES = ("((Ss) ( ))", "((Ss) (O))", "((A,Ds) (Ss))")
 
 @st.composite
 def _hierarchy(draw, kind, prefix):
-    """A random tree of 2-8 concepts named prefix+a (the root), prefix+b...;
-    each concept's parent is one of the three before it, so that many
-    pairs of concepts meet below the root."""
-    names = [prefix + letter for letter in "abcdefgh"[:draw(st.integers(2, 8))]]
-    edges = ["%s > %s" % (names[draw(st.integers(max(0, i - 3), i - 1))],
-                          names[i])
-             for i in range(1, len(names))]
+    """A random tree of 2-10 concepts named prefix+a (the root), prefix+b...,
+    up to three levels below the root; each concept's parent is one of the
+    last three concepts above that level, so that many pairs of concepts
+    meet below the root, some of them two levels below their meeting."""
+    names = [prefix + letter
+             for letter in "abcdefghij"[:draw(st.integers(2, 10))]]
+    depth = {names[0]: 0}
+    edges = []
+    for name in names[1:]:
+        parents = [p for p in depth if depth[p] < 3][-3:]
+        parent = parents[draw(st.integers(0, len(parents) - 1))]
+        depth[name] = depth[parent] + 1
+        edges.append("%s > %s" % (parent, name))
     return ConceptHierarchy.parse("\n".join(edges), kind)
 
 
@@ -340,11 +367,29 @@ def _semlex_and_hierarchies(draw):
     return SemanticLexicon(table), hiers
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_semlex_and_hierarchies())
-def test_one_pass_generalize_equals_restarting_scan(case):
-    semlex, hiers = case
-    assert generalize(semlex, hiers) == _restart_generalize(semlex, hiers)
+def test_one_pass_generalize_equals_restarting_scan():
+    """The fold equals both pairwise scans, on examples some of which fold
+    three or more observations into one."""
+    largest_classes = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_semlex_and_hierarchies())
+    def check(case):
+        semlex, hiers = case
+        out = generalize(semlex, hiers)
+        assert out == reference_generalize(semlex, hiers)
+        assert out == _restart_generalize(semlex, hiers)
+        # with every support 1, a merged support counts its class
+        ones = SemanticLexicon({
+            word: [TaggedDisjunct(obs.shape, obs.tags)
+                   for obs in semlex.lookup(word)]
+            for word in semlex.words()})
+        largest_classes.append(max(
+            (obs.support for word in ones.words()
+             for obs in generalize(ones, hiers).lookup(word)), default=0))
+
+    check()
+    assert sum(size >= 3 for size in largest_classes) >= 10
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
