@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
 
 _CONNECTOR_PATTERN = r"[A-Z]+[a-z]*"
@@ -159,15 +160,17 @@ class Lexicon:
         return self._entries.get(word)
 
     def inventory(self) -> tuple[Disjunct, ...]:
-        """Every distinct disjunct in the lexicon, ordered by display form."""
-        return tuple(sorted({d for ds in self._entries.values() for d in ds},
+        """Every distinct disjunct in the lexicon, ordered by display form.
+        Read off the distinct entries, as every word's entry is one."""
+        return tuple(sorted({d for ds in self.entry_counts() for d in ds},
                             key=str))
 
     def entry_counts(self) -> Mapping[tuple[Disjunct, ...], int]:
-        """Each distinct entry with the number of words carrying it."""
+        """Each distinct entry with the number of words carrying it, as a
+        read-only view."""
         if self._counts is None:
             self._counts = Counter(self._entries.values())
-        return self._counts
+        return MappingProxyType(self._counts)
 
     def add(self, word: str, disjuncts: Iterable[Disjunct]) -> "Lexicon":
         """A new lexicon whose entry for word is the union, existing first."""

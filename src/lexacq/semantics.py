@@ -12,6 +12,7 @@ hierarchy it belongs to, and so its kind, is asked of the hierarchies.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -594,14 +595,15 @@ _SEMLEX_ITEM_RE = re.compile(
         _body_pattern("%s(?:_%s)?" % (_CONNECTOR_PATTERN, _NAME_PATTERN))))
 
 
-def _tagged_body(body: str) -> TaggedDisjunct:
-    """The observation, with support 1, of a body the item regex matched."""
+def _tagged_body(body: str, connector) -> TaggedDisjunct:
+    """The observation, with support 1, of a body the item regex matched;
+    `connector` reads a connector's text."""
     sides, tags = [], []
     for side, tokens in zip(("left", "right"), _body_tokens(body)):
         conns = []
         for i, token in enumerate(tokens):
             name, _, tag_name = token.partition("_")
-            conns.append(Connector.parse(name))
+            conns.append(connector(name))
             if tag_name:
                 tags.append(((side, i), tag_name))
         sides.append(tuple(conns))
@@ -610,13 +612,15 @@ def _tagged_body(body: str) -> TaggedDisjunct:
 
 def _builder():
     """Turns a word's raw (body, support) items into its pooled
-    observations.  One per parsed value, so that a body text is read once."""
+    observations.  One per parsed value, so that a body text is read once
+    and each connector text once."""
     parsed: dict[str, TaggedDisjunct] = {}  # body text -> observation
+    connector = functools.cache(Connector.parse)  # connector text -> value
 
     def observation(body: str, support: int) -> TaggedDisjunct:
         obs = parsed.get(body)
         if obs is None:
-            obs = parsed[body] = _tagged_body(body)
+            obs = parsed[body] = _tagged_body(body, connector)
         return obs if support == 1 else _with_support(obs, support)
 
     return lambda items: _pooled(observation(*item) for item in items)

@@ -564,9 +564,9 @@ def test_semlex_builds_a_words_observations_on_its_first_lookup(monkeypatch):
     built = []
     tagged_body = semantics._tagged_body
 
-    def counting(body):
+    def counting(body, *rest):
         built.append(body)
-        return tagged_body(body)
+        return tagged_body(body, *rest)
 
     monkeypatch.setattr(semantics, "_tagged_body", counting)
     semlex = parse_semlex(
@@ -585,3 +585,16 @@ def test_semlex_builds_a_words_observations_on_its_first_lookup(monkeypatch):
     assert len(built) == 2
     semlex.lookup("meat")
     assert built[2:] == ["((Os) ( ))", "((Os_eats) ( ))"]
+
+
+def test_semlex_reads_each_connector_text_once():
+    text = ("eats: ((Ss_animal) (O_food)) | ((Ss_meat) (O))\n"
+            "cow: ((Ss_animal) (O))\n")
+    semlex = parse_semlex(text, HIERS)
+    (a, b), (c,) = semlex.lookup("eats"), semlex.lookup("cow")
+    assert a.shape.left[0] is b.shape.left[0] is c.shape.left[0]
+    assert a.shape.right[0] is b.shape.right[0] is c.shape.right[0]
+    # a second parse reads its own connectors, with equal outputs
+    again = parse_semlex(text, HIERS)
+    assert again == semlex
+    assert again.lookup("cow")[0].shape.left[0] is not c.shape.left[0]

@@ -350,6 +350,37 @@ def test_frequencies_equal_per_word_count(lexicon, data):
     assert dict(pickle.loads(pickle.dumps(lexicon)).entry_counts()) == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(lexicon=st.one_of(_lexicons(), _grown_lexicons()))
+@example(lexicon=Lexicon({}))
+def test_inventory_equals_per_word_build(lexicon):
+    # counts built before the adds, between them or never, then a fresh
+    # value's counts after a pickle round trip
+    expected = tuple(sorted({d for w in lexicon for d in lexicon.lookup(w)},
+                            key=str))
+    assert lexicon.inventory() == expected
+    assert pickle.loads(pickle.dumps(lexicon)).inventory() == expected
+
+
+def test_entry_counts_are_read_only():
+    lexicon = parse_lexicon("""
+        a, b: ((Ds) (Ss)) | ((D) (Os))
+        c: ((Dp) (Sp))
+    """)
+    hyps = [D("((D) (S))"), D("((Dp) (Sp))")]
+    counts = lexicon.entry_counts()
+    before = dict(counts)
+    frequencies = _frequencies(hyps, lexicon)
+    entry = lexicon.lookup("c")
+    with pytest.raises(TypeError):
+        counts[entry] = 0
+    with pytest.raises(AttributeError):
+        counts.clear()
+    assert dict(lexicon.entry_counts()) == before
+    assert _frequencies(hyps, lexicon) == frequencies == {
+        hyps[0]: 3, hyps[1]: 1}
+
+
 def test_frequencies_cover_none_some_and_all_words():
     lexicon = parse_lexicon("""
         a, b, c: ((Ds) (Ss)) | ((D) (Os))
