@@ -8,13 +8,17 @@ connector lists dictate.  Cycles are allowed.
 
 The solver (`solve`, behind `parse`) is a depth-first search over the
 sentence left to right whose state is (position, open connectors): the
-stack of open rightward connectors, the links made so far and the
-disjunct chosen at each word are passed down the recursion, and the
-failure kinds each subtree witnessed are returned up it; nothing but the
-outcome is mutated.  Planarity is exactly the stack discipline, and the
-ordering rule makes the link set deterministic per disjunct choice.  An
-unknown word is a wildcard whose disjunct is read off its links at each
-solution: what its left and right context link with.  Any search behind
+stack of open rightward connectors is passed down the recursion, and the
+failure kinds each subtree witnessed are returned up it.  The rest of the
+state is scoped to the path and lives in lists of one solve: the links
+made so far and the disjunct chosen at each word are appended on the way
+down and truncated on the way back, and become tuples only at a leaf that
+is a linkage; each (position, entry index) ORs the failure kinds of its
+branches into one mask.  Solutions and causes are built from these after
+the search.  Planarity is exactly the stack discipline, and the ordering
+rule makes the link set deterministic per disjunct choice.  An unknown
+word is a wildcard whose disjunct is read off its links at each solution:
+what its left and right context link with.  Any search behind
 `solve` keeps its contract: None candidates mark wildcards, solutions come
 in canonical (search) order, `nodes` counts the search nodes, and `causes`
 holds one FAILURE_KINDS mask per known (position, disjunct) it tried that
@@ -185,8 +189,9 @@ def solve(
     Each branch returns the failure kinds its subtree witnessed as a
     FAILURE_KINDS mask; with `collect_causes`, `causes` maps each known
     (position, disjunct) pair that failed on some branch to the OR of its
-    failed branches' masks.  Nothing but the outcome is mutated.  Raises
-    SentenceTooLongError past MAX_SENTENCE_WORDS words and
+    failed branches' masks; a disjunct listed twice at one position has
+    one key.  The search keeps its path in lists of its own and mutates no
+    input.  Raises SentenceTooLongError past MAX_SENTENCE_WORDS words and
     SearchBudgetError past MAX_SEARCH_NODES search nodes.  A known word
     with no candidate links nothing, so its sentence is not searched.
     """
@@ -197,7 +202,6 @@ def solve(
     if not all(ds for ds in candidates if ds is not None):
         return out
     budget = MAX_SEARCH_NODES
-    causes = out.causes if collect_causes else None
 
     # a wildcard may open at most as many connectors as the words after it
     # could ever absorb
@@ -208,80 +212,107 @@ def solve(
             cap += max(len(d.left) for d in candidates[p])
         push_cap[p] = cap
 
-    def links_for(p: int, d: Disjunct, stack: tuple):
-        """The links d's left connectors make with the top of the stack, or
-        the kind of its failure."""
-        if len(d.left) > len(stack):
-            return _ORDERING
-        seen = set()
-        new_links = []
-        for i, a in enumerate(d.left):
-            src, conn = stack[-1 - i]
-            if src in seen:
-                return _EXCLUSION
-            seen.add(src)
-            if conn is None:
-                new_links.append((src, p, str(a)))
-            elif match(conn, a):
-                new_links.append((src, p, link_label(conn, a)))
-            else:
-                return _ORDERING
-        return tuple(new_links)
+    # the path-scoped state of the module docstring; an entry's push tuple
+    # is built the first time it links
+    links: list = []
+    chosen: list = []
+    pushes = [None if ds is None else [None] * len(ds) for ds in candidates]
+    masks = ([None if ds is None else [0] * len(ds) for ds in candidates]
+             if collect_causes else None)
+    leaves: list = []
 
-    def at(p: int, stack: tuple, links: tuple, chosen: tuple) -> int:
-        """Search on from word p, given the links made before it, the
-        disjunct chosen at each earlier word (None at wildcards) and
-        the open rightward connectors: a stack of (source position,
-        Connector, or None for a wildcard's).  Returns the failure kinds of
-        the subtree."""
+    def at(p: int, stack: tuple) -> int:
+        """Search on from word p, given the open rightward connectors: a
+        stack of (source position, Connector, or None for a wildcard's).
+        Returns the failure kinds of the subtree."""
         if p == n:
             if stack:
                 return _ORDERING
             if len(_reachable(links)) < n:
                 return _CONNECTIVITY
-            out.solutions.append(Solution(tuple(
-                _read_off(q, links) if d is None else d
-                for q, d in enumerate(chosen)), tuple(sorted(links))))
+            leaves.append((tuple(chosen), tuple(links)))
             return 0
         kinds = 0
-        if candidates[p] is None:
+        top = len(stack)
+        mark = len(links)
+        ds = candidates[p]
+        if ds is None:
             max_k = 0
-            seen = set()
-            while max_k < len(stack):
-                src, conn = stack[-1 - max_k]
+            seen = ()
+            while max_k < top:
+                src, conn = stack[top - 1 - max_k]
                 if conn is None or src in seen:
                     break
-                seen.add(src)
+                seen += (src,)
                 max_k += 1
+            chosen.append(None)
+            cap = push_cap[p + 1]
             for k in range(max_k + 1):
-                rest = stack[: len(stack) - k]
-                here = links + tuple(
-                    (src, p, str(c)) for src, c in stack[len(stack) - k:])
-                for j in range(push_cap[p + 1] + 1):
+                if k:
+                    src, conn = stack[top - k]
+                    links.append((src, p, str(conn)))
+                rest = stack[: top - k]
+                for j in range(cap + 1):
                     out.nodes += 1
                     if out.nodes > budget:
                         raise SearchBudgetError(budget)
-                    kinds |= at(p + 1, rest + ((p, None),) * j, here,
-                                chosen + (None,))
+                    kinds |= at(p + 1, rest + ((p, None),) * j)
+            del links[mark:]
+            chosen.pop()
             return kinds
-        for d in candidates[p]:
+        for i, d in enumerate(ds):
             out.nodes += 1
             if out.nodes > budget:
                 raise SearchBudgetError(budget)
-            new_links = links_for(p, d, stack)
-            if isinstance(new_links, int):
-                failed = new_links
+            left = d.left
+            if len(left) > top:
+                failed = _ORDERING
             else:
-                failed = at(p + 1,
-                            stack[: len(stack) - len(d.left)]
-                            + tuple((p, b) for b in d.right),
-                            links + new_links, chosen + (d,))
-            if failed and causes is not None:
-                causes[(p, d)] = causes.get((p, d), 0) | failed
-            kinds |= failed
+                # d's left connectors link with the top of the stack
+                failed = 0
+                seen = ()
+                at_top = top
+                for a in left:
+                    at_top -= 1
+                    src, conn = stack[at_top]
+                    if src in seen:
+                        failed = _EXCLUSION
+                        break
+                    seen += (src,)
+                    if conn is None:
+                        links.append((src, p, str(a)))
+                    elif match(conn, a):
+                        links.append((src, p, link_label(conn, a)))
+                    else:
+                        failed = _ORDERING
+                        break
+                if not failed:
+                    push = pushes[p][i]
+                    if push is None:
+                        push = pushes[p][i] = tuple((p, b) for b in d.right)
+                    chosen.append(d)
+                    failed = at(p + 1, stack[:at_top] + push)
+                    chosen.pop()
+                del links[mark:]
+            if failed:
+                kinds |= failed
+                if masks is not None:
+                    masks[p][i] |= failed
         return kinds
 
-    at(0, (), (), ())
+    at(0, ())
+    for chosen_at, links_at in leaves:
+        out.solutions.append(Solution(tuple(
+            _read_off(q, links_at) if d is None else d
+            for q, d in enumerate(chosen_at)), tuple(sorted(links_at))))
+    if masks is not None:
+        # a position may list one disjunct twice: one key ORs both masks
+        causes = out.causes
+        for p, row in enumerate(masks):
+            for i, mask in enumerate(row or ()):
+                if mask:
+                    key = (p, candidates[p][i])
+                    causes[key] = causes.get(key, 0) | mask
     return out
 
 
@@ -343,16 +374,40 @@ def _slot_serves(slot: Connector, label_conn) -> bool:
 
 
 def _bijection_exists(slots, label_conns) -> bool:
-    """Is there any slot assignment serving every incident link's label?"""
+    """Is there any slot assignment serving every incident link's label?
+    A bipartite matching of labels to slots, grown one label at a time
+    along a breadth-first augmenting path."""
     if len(slots) != len(label_conns):
         return False
-    if not slots:
-        return True
-    for perm in itertools.permutations(range(len(slots))):
-        if all(_slot_serves(slots[slot_i], lc)
-               for lc, slot_i in zip(label_conns, perm)):
-            return True
-    return False
+    serves = [[s for s, slot in enumerate(slots) if _slot_serves(slot, lc)]
+              for lc in label_conns]
+    owner = [None] * len(slots)  # the label each slot serves
+    slot_of = [None] * len(label_conns)
+    for start in range(len(label_conns)):
+        reached_by = {}  # slot -> the label whose edge reached it
+        frontier = [start]
+        free = None
+        while frontier and free is None:
+            ahead = []
+            for label in frontier:
+                for s in serves[label]:
+                    if s not in reached_by:
+                        reached_by[s] = label
+                        if owner[s] is None:
+                            free = s
+                            break
+                        ahead.append(owner[s])
+                if free is not None:
+                    break
+            frontier = ahead
+        if free is None:
+            return False
+        # shift each label on the path to the slot that reached it
+        s = free
+        while s is not None:
+            label = reached_by[s]
+            owner[s], s, slot_of[label] = label, slot_of[label], s
+    return True
 
 
 def validate(linkage: Linkage) -> list[Violation]:

@@ -10,6 +10,9 @@ contract: the same search, which collects failure causes by pushing each
 (position, disjunct) pair on a shared path and tagging the whole path with
 a set of kinds at every failed branch.
 
+`reference_bijection_exists` is the earlier form of
+`linker._bijection_exists`: it tries every permutation of a word's slots.
+
 `reference_generalize` is the earlier form of `semantics.generalize`: a
 greedy pairwise scan of each word's observations through `try_merge`,
 which merges two observations when every pair of their tags has a least
@@ -25,7 +28,7 @@ from lexacq.lexicon import Disjunct, Lexicon
 from lexacq.linker import (FAILURE_KINDS, MAX_SENTENCE_WORDS, Link, Linkage,
                            SentenceTooLongError, Solution, SolveOutcome,
                            UnknownWordError, _reachable, _read_off,
-                           link_label, match, validate)
+                           _slot_serves, link_label, match, validate)
 from lexacq.semantics import (ConceptHierarchies, SemanticLexicon,
                               TaggedDisjunct, _concept_hierarchy)
 
@@ -206,6 +209,20 @@ def reference_solve(
     out.causes = {key: sum(1 << FAILURE_KINDS.index(kind) for kind in kinds)
                   for key, kinds in blamed.items()}
     return out
+
+
+def reference_bijection_exists(slots, label_conns) -> bool:
+    """Is there any slot assignment serving every incident link's label?
+    Tries every permutation of the slots."""
+    if len(slots) != len(label_conns):
+        return False
+    if not slots:
+        return True
+    for perm in itertools.permutations(range(len(slots))):
+        if all(_slot_serves(slots[slot_i], lc)
+               for lc, slot_i in zip(label_conns, perm)):
+            return True
+    return False
 
 
 def try_merge(a: TaggedDisjunct, b: TaggedDisjunct,

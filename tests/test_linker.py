@@ -1,9 +1,10 @@
 """Linkage solver: matching, link rules, validation, oracle agreement."""
 
 import random
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexacq.lexicon import Connector, Disjunct, Lexicon, parse_lexicon
@@ -14,6 +15,7 @@ from lexacq.linker import (
     SearchBudgetError,
     SentenceTooLongError,
     UnknownWordError,
+    _bijection_exists,
     compatible,
     link_label,
     linkages_from,
@@ -23,7 +25,8 @@ from lexacq.linker import (
     solve,
     validate,
 )
-from oracle import OracleCapError, enumerate_bruteforce, reference_solve
+from oracle import (OracleCapError, enumerate_bruteforce,
+                    reference_bijection_exists, reference_solve)
 
 
 def C(text):
@@ -260,6 +263,24 @@ def test_validate_ordering_fault_does_not_spread_to_partners():
         ("ordering", (0,))]
 
 
+def test_validate_matches_twelve_slots_without_trying_every_order():
+    # word 12 has twelve left connectors A..L; the permutation search took
+    # 0.65 s at nine and would take minutes at twelve
+    slots = "ABCDEFGHIJKL"
+    for labels, rule in ((slots, "ordering"), ("Z" + slots[1:], "saturation")):
+        # link i comes from word i, so word 12 reads them nearest first:
+        # labels[11] at its first slot, labels[0] at its last
+        linkage = linkage_of(
+            " ".join("w" * 13),
+            ["(( ) (%s))" % c for c in labels]
+            + ["((%s) ( ))" % ",".join(slots)],
+            [(i, 12, c) for i, c in enumerate(labels)])
+        start = time.perf_counter()
+        violations = validate(linkage)
+        assert time.perf_counter() - start < 1.0
+        assert (rule, (12,)) in [(v.rule, v.positions) for v in violations]
+
+
 def test_slot_links_pairs_each_slot(lexicon):
     linkage = parse("the condor eats the meat".split(), lexicon)[0]
     slots = slot_links(linkage)
@@ -307,6 +328,40 @@ _SIDES = st.lists(st.builds(Connector, _BASES, _SUBSCRIPTS),
 
 
 @st.composite
+def _slots_and_labels(draw):
+    """Up to 6 connectors at one side of a word and as many link labels,
+    each parsed back to a connector or None: drawn apart, or the
+    connectors shuffled with a few replaced; now and then one label too
+    many.  Three subscripts let a label serve some slots of its base and
+    not others."""
+    connectors = st.builds(Connector, _BASES,
+                           st.sampled_from(["", "a", "b", "c"]))
+    k = draw(st.integers(0, 6))
+    slots = draw(st.lists(connectors, min_size=k, max_size=k))
+    labels = st.one_of(st.none(), connectors)
+    if draw(st.booleans()):
+        labels = draw(st.lists(labels, min_size=k, max_size=k))
+    else:
+        labels = [draw(labels) if draw(st.integers(0, 4)) == 0 else c
+                  for c in draw(st.permutations(slots))]
+    if draw(st.integers(0, 9)) == 0:
+        labels.append(draw(connectors))
+    return slots, labels
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(case=_slots_and_labels())
+# both Xc labels need the bare slot X: the first takes it by moving label X
+# on to slot Xa, and a matching that loses track of that move finds slot Xb
+# free for the second
+@example(case=([C("X"), C("Xa"), C("Xb")], [C("X"), C("Xc"), C("Xc")]))
+def test_slot_matching_agrees_with_the_permutation_search(case):
+    slots, labels = case
+    assert _bijection_exists(slots, labels) == (
+        reference_bijection_exists(slots, labels))
+
+
+@st.composite
 def _grammars(draw):
     """A random lexicon of 2-4 words with 1-3 disjuncts each, a sentence of
     2-6 of its words and one position in it.  Random sentences over random
@@ -348,6 +403,15 @@ def _grammars(draw):
                 ds.append(d)
         entries[w] = draw(st.permutations(ds))
     return Lexicon(entries), words, draw(st.integers(0, n - 1))
+
+
+@st.composite
+def _two_wildcard_grammars(draw):
+    """A `_grammars` case of at least 3 words, with two non-adjacent
+    positions in place of its one."""
+    lex, words, _ = draw(_grammars().filter(lambda case: len(case[1]) >= 3))
+    u = draw(st.integers(0, len(words) - 3))
+    return lex, words, u, draw(st.integers(u + 2, len(words) - 1))
 
 
 # derandomized: the oracle's cost varies by orders of magnitude between
@@ -409,3 +473,31 @@ def test_solve_matches_the_reference_search(case):
             assert solve(cands, collect_causes) == (
                 reference_solve(cands, collect_causes))
 
+
+# derandomized like the one-wildcard property; acquisition with two unknown
+# words spends most of its search time in solves like these
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_two_wildcard_grammars())
+def test_solve_matches_the_reference_search_with_two_wildcards(case):
+    lex, words, u, v = case
+    candidates = [None if p in (u, v) else lex.lookup(w)
+                  for p, w in enumerate(words)]
+    for collect_causes in (False, True):
+        assert solve(candidates, collect_causes) == (
+            reference_solve(candidates, collect_causes))
+
+
+def test_solve_merges_the_causes_of_a_disjunct_listed_twice():
+    # a lexicon refuses a duplicate disjunct, but solve takes any sequence;
+    # both copies fail on the same branches, under one (position, disjunct)
+    the, det_s = D("(( ) (D))"), D("((D) (Ss))")
+    both = D("((D) (Ss,O))")
+    eats, meat = D("((Ss) (O))"), D("((O) ( ))")
+    for candidates in ([(the,), (det_s, both, det_s), (eats,), (meat,)],
+                       [(the,), (det_s, both, det_s), None, (meat,)]):
+        for collect_causes in (False, True):
+            outcome = solve(candidates, collect_causes)
+            assert outcome == reference_solve(candidates, collect_causes)
+        assert [sol.choices[1] for sol in outcome.solutions] == [
+            det_s, det_s]
+        assert outcome.causes[(1, both)]
