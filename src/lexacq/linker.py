@@ -190,10 +190,11 @@ def solve(
     FAILURE_KINDS mask; with `collect_causes`, `causes` maps each known
     (position, disjunct) pair that failed on some branch to the OR of its
     failed branches' masks; a disjunct listed twice at one position has
-    one key.  The search keeps its path in lists of its own and mutates no
-    input.  Raises SentenceTooLongError past MAX_SENTENCE_WORDS words and
-    SearchBudgetError past MAX_SEARCH_NODES search nodes.  A known word
-    with no candidate links nothing, so its sentence is not searched.
+    one key.  The search keeps its path in lists of its own, freed on
+    return, and mutates no input.  Raises SentenceTooLongError past
+    MAX_SENTENCE_WORDS words and SearchBudgetError past MAX_SEARCH_NODES
+    search nodes.  A known word with no candidate links nothing, so its
+    sentence is not searched.
     """
     n = len(candidates)
     if n > MAX_SENTENCE_WORDS:
@@ -300,7 +301,10 @@ def solve(
                     masks[p][i] |= failed
         return kinds
 
-    at(0, ())
+    try:
+        at(0, ())
+    finally:  # `at` holds itself through its closure: free the search state
+        del at
     for chosen_at, links_at in leaves:
         out.solutions.append(Solution(tuple(
             _read_off(q, links_at) if d is None else d

@@ -370,23 +370,28 @@ def tag_sentence(linkage: Linkage, hiers: ConceptHierarchies,
     return semlex._observed(_tagged_words(linkage, hiers))
 
 
-def _tagged_words(linkage: Linkage, hiers: ConceptHierarchies):
-    """Yield tag_sentence's (word, observation) pairs, in sentence order."""
-    for pos, (lefts, rights) in enumerate(slot_links(linkage)):
-        word, d = linkage.words[pos], linkage.choices[pos]
+def _slot_partners(linkage: Linkage):
+    """Yield, for each word in order, a map from each of its slots (side,
+    index), left slots first, to the position that slot links to; raise
+    ValueError at the first word whose disjunct the links do not
+    saturate."""
+    for d, (lefts, rights) in zip(linkage.choices, slot_links(linkage)):
         if (len(lefts), len(rights)) != (len(d.left), len(d.right)):
             raise ValueError("linkage does not saturate its disjuncts")
-        if hiers.leaf_kind_of(word) is None:
+        yield {**{("left", i): link.left for i, link in enumerate(lefts)},
+               **{("right", i): link.right for i, link in enumerate(rights)}}
+
+
+def _tagged_words(linkage: Linkage, hiers: ConceptHierarchies):
+    """Yield tag_sentence's (word, observation) pairs, in sentence order."""
+    words = linkage.words
+    for pos, partners in enumerate(_slot_partners(linkage)):
+        if hiers.leaf_kind_of(words[pos]) is None:
             continue
-        tags = {}
-        for side, links in (("left", lefts), ("right", rights)):
-            for index, link in enumerate(links):
-                other_word = linkage.words[
-                    link.left if side == "left" else link.right]
-                if hiers.leaf_kind_of(other_word) is not None:
-                    tags[(side, index)] = other_word
+        tags = tuple((slot, words[q]) for slot, q in partners.items()
+                     if hiers.leaf_kind_of(words[q]) is not None)
         if tags:
-            yield word, TaggedDisjunct(d, tuple(tags.items()))
+            yield words[pos], TaggedDisjunct(linkage.choices[pos], tags)
 
 
 def generalize(semlex: SemanticLexicon,
@@ -471,50 +476,37 @@ def classify_unknown(
     result = acquire_syntax(words, lexicon,
                             max_unknowns=max_unknowns, filter_on=filter_on)
     witness = result.linkages[0]
-    slots = slot_links(witness)
-    # the unknown word's neighbours left to right, each with the side of
-    # its own connector that the link serves
-    lefts, rights = slots[unknown_pos]
-    neighbors = ([(link.left, "right", link) for link in reversed(lefts)]
-                 + [(link.right, "left", link) for link in reversed(rights)])
-
-    found: list = []
-    seen_concepts = set()
+    partners = list(_slot_partners(witness))
+    found: dict = {}  # concept -> Evidence of its first fitting usage
     any_tagged = False
-    for q, side, link in neighbors:
-        usages = semlex.lookup(witness.words[q])
-        if any(u.tags for u in usages):
-            any_tagged = True
-        links_at = dict(zip(("left", "right"), slots[q]))
-        index = links_at[side].index(link)
+    # the unknown word's neighbours left to right, each with its own slot
+    # that links to the unknown word
+    for q in sorted(partners[unknown_pos].values()):
+        slot = next(s for s, r in partners[q].items() if r == unknown_pos)
+        usages = semlex.lookup(words[q])
+        any_tagged = any_tagged or any(u.tags for u in usages)
         for usage in usages:
             if not compatible(usage.shape, witness.choices[q]):
                 continue
-            emitted = usage.tag_at(side, index)
+            emitted = usage.tag_at(*slot)
             if emitted is None:
                 continue
             facts = []
-            fits = True
-            for (other_side, other_index), tag in usage.tags:
-                if (other_side, other_index) == (side, index):
+            for other, tag in usage.tags:
+                if other == slot:
                     continue
-                other_link = links_at[other_side][other_index]
-                filler = witness.words[other_link.left if other_side == "left"
-                                       else other_link.right]
+                filler = words[partners[q][other]]
                 h = _concept_hierarchy(hiers, tag)
                 if filler not in h or not h.subsumes(tag, filler):
-                    fits = False
                     break
                 facts.append((filler, tag))
-            if fits and emitted not in seen_concepts:
-                seen_concepts.add(emitted)
-                found.append((emitted,
-                              Evidence(witness.words[q], usage, tuple(facts))))
+            else:
+                found.setdefault(emitted,
+                                 Evidence(words[q], usage, tuple(facts)))
     if not any_tagged:
         raise NoSemanticEvidenceError(
-            "no linked word has tagged usages for %r"
-            % witness.words[unknown_pos])
-    return found
+            "no linked word has tagged usages for %r" % words[unknown_pos])
+    return list(found.items())
 
 
 # --- tagged-lexicon text format ------------------------------------------------

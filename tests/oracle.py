@@ -17,6 +17,11 @@ a set of kinds at every failed branch.
 greedy pairwise scan of each word's observations through `try_merge`,
 which merges two observations when every pair of their tags has a least
 common subsumer below the root.
+
+`reference_classify` is the earlier form of `semantics.classify_unknown`:
+it walks the unknown word's links from `slot_links` in reverse, finds each
+neighbour's slot with `list.index`, and reads each filler off that slot's
+link.
 """
 
 from __future__ import annotations
@@ -28,9 +33,13 @@ from lexacq.lexicon import Disjunct, Lexicon
 from lexacq.linker import (FAILURE_KINDS, MAX_SENTENCE_WORDS, Link, Linkage,
                            SentenceTooLongError, Solution, SolveOutcome,
                            UnknownWordError, _reachable, _read_off,
-                           _slot_serves, link_label, match, validate)
-from lexacq.semantics import (ConceptHierarchies, SemanticLexicon,
-                              TaggedDisjunct, _concept_hierarchy)
+                           _slot_serves, compatible, link_label, match,
+                           slot_links, validate)
+from lexacq.semantics import (ConceptHierarchies, Evidence,
+                              NoSemanticEvidenceError, SemanticLexicon,
+                              TaggedDisjunct, UnknownCountError,
+                              _concept_hierarchy)
+from lexacq.syntax import acquire_syntax
 
 ORACLE_CAP_DEFAULT = 7
 
@@ -269,3 +278,79 @@ def reference_generalize(semlex: SemanticLexicon,
             i += 1
         table[word] = tuple(items)
     return SemanticLexicon(table)
+
+
+def reference_classify(
+    words: Sequence[str],
+    lexicon: Lexicon,
+    semlex: SemanticLexicon,
+    hiers: ConceptHierarchies,
+    *,
+    max_unknowns: int = 2,
+    filter_on: bool = True,
+) -> list:
+    """Concepts the sentence's one unknown word could denote, with evidence.
+
+    Runs syntactic acquisition, takes the first witness linkage, and for
+    each known word linked to the unknown position checks its generalized
+    usages of matching shape: a usage applies when every other tagged
+    slot's actual filler is subsumed by that slot's tag; the tag at the
+    slot linking to the unknown is then emitted.  Returns (concept,
+    Evidence) pairs deduplicated by concept, deterministic order.
+    Raises UnknownCountError, before any search, unless exactly one word
+    is unknown, and NoSemanticEvidenceError when no linked word has tagged
+    usages.
+    """
+    unknown = [p for p, w in enumerate(words) if w not in lexicon]
+    if len(unknown) != 1:
+        raise UnknownCountError(
+            "classify needs exactly one unknown word, found %d"
+            % len(unknown))
+    unknown_pos = unknown[0]
+    result = acquire_syntax(words, lexicon,
+                            max_unknowns=max_unknowns, filter_on=filter_on)
+    witness = result.linkages[0]
+    slots = slot_links(witness)
+    # the unknown word's neighbours left to right, each with the side of
+    # its own connector that the link serves
+    lefts, rights = slots[unknown_pos]
+    neighbors = ([(link.left, "right", link) for link in reversed(lefts)]
+                 + [(link.right, "left", link) for link in reversed(rights)])
+
+    found: list = []
+    seen_concepts = set()
+    any_tagged = False
+    for q, side, link in neighbors:
+        usages = semlex.lookup(witness.words[q])
+        if any(u.tags for u in usages):
+            any_tagged = True
+        links_at = dict(zip(("left", "right"), slots[q]))
+        index = links_at[side].index(link)
+        for usage in usages:
+            if not compatible(usage.shape, witness.choices[q]):
+                continue
+            emitted = usage.tag_at(side, index)
+            if emitted is None:
+                continue
+            facts = []
+            fits = True
+            for (other_side, other_index), tag in usage.tags:
+                if (other_side, other_index) == (side, index):
+                    continue
+                other_link = links_at[other_side][other_index]
+                filler = witness.words[other_link.left if other_side == "left"
+                                       else other_link.right]
+                h = _concept_hierarchy(hiers, tag)
+                if filler not in h or not h.subsumes(tag, filler):
+                    fits = False
+                    break
+                facts.append((filler, tag))
+            if fits and emitted not in seen_concepts:
+                seen_concepts.add(emitted)
+                found.append((emitted,
+                              Evidence(witness.words[q], usage, tuple(facts))))
+    if not any_tagged:
+        raise NoSemanticEvidenceError(
+            "no linked word has tagged usages for %r"
+            % witness.words[unknown_pos])
+    return found

@@ -108,6 +108,11 @@ def test_load_workspace_validates_option_ranges(ws):
                       encoding="utf-8")
     with pytest.raises(WorkspaceError):
         load_workspace(ws)
+    config.write_text(text.replace("max_unknowns = 2", "max_unknowns = two"),
+                      encoding="utf-8")
+    with pytest.raises(WorkspaceError,
+                       match="^option max_unknowns must be an integer$"):
+        load_workspace(ws)
 
 
 def test_load_workspace_ignores_oracle_cap(ws):
@@ -256,8 +261,19 @@ def test_acquire_prints_entry(ws, capsys):
     assert capsys.readouterr().out == "snipe: ((D) (Ss))\n"
 
 
+def _set_option(ws, old, new):
+    config = ws / "workspace.cfg"
+    text = config.read_text(encoding="utf-8")
+    assert old in text
+    config.write_text(text.replace(old, new), encoding="utf-8")
+
+
 def test_acquire_no_filter_keeps_alternatives(ws, capsys):
     assert run(ws, "acquire", "--no-filter", "the snipe eats meat") == 0
+    assert capsys.readouterr().out == "snipe: ((D) (Ss)) | ((D) (Os,Ss))\n"
+    # the workspace option does what the flag does
+    _set_option(ws, "filter_on = true", "filter_on = false")
+    assert run(ws, "acquire", "the snipe eats meat") == 0
     assert capsys.readouterr().out == "snipe: ((D) (Ss)) | ((D) (Os,Ss))\n"
 
 
@@ -408,6 +424,28 @@ def test_negative_max_unknowns_is_usage_error(ws, capsys, command):
     assert "--max-unknowns: must be >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["acquire", "classify"])
+def test_max_unknowns_flag_overrides_the_workspace_option(ws, capsys,
+                                                          command):
+    assert run(ws, "train", str(ws / "sample_corpus.txt")) == 0
+    _set_option(ws, "max_unknowns = 2", "max_unknowns = 0")
+    capsys.readouterr()
+    assert run(ws, command, "the snipe eats meat") == 1
+    assert capsys.readouterr() == (
+        "", "error: 1 unknown words exceed the cap of 0 (snipe)\n")
+    assert run(ws, command, "--max-unknowns", "1", "the snipe eats meat") == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "snipe: ((D) (Ss))" if command == "acquire" else "snipe -> animal")
+
+
+@pytest.mark.parametrize("command", ["acquire", "classify"])
+def test_non_integer_max_unknowns_is_usage_error(ws, capsys, command):
+    with pytest.raises(SystemExit) as info:
+        run(ws, command, "--max-unknowns", "x", "the snipe eats meat")
+    assert info.value.code == 2
+    assert "--max-unknowns: invalid int value: 'x'" in capsys.readouterr().err
+
+
 def test_acquire_error_exits(ws, capsys):
     assert run(ws, "acquire", "wug wug") == 1
     assert "no valid linkage" in capsys.readouterr().err
@@ -421,6 +459,13 @@ def test_train_writes_semantic_lexicon(ws, capsys):
     text = (ws / "semantic_lexicon.lg").read_text(encoding="utf-8")
     assert ("eats: ((Ss_animal) (O_food)) ;support=2 |"
             " ((Ss_car) (O_gasoline)) ;support=1") in text
+
+
+def test_train_skips_a_line_of_punctuation_only(ws, capsys):
+    corpus = ws / "corpus.txt"
+    corpus.write_text("the condor eats meat\n. , !\n", encoding="utf-8")
+    assert run(ws, "train", str(corpus)) == 0
+    assert "trained on 1 sentence(s)" in capsys.readouterr().out
 
 
 def test_train_aborts_on_unknown_word(ws, capsys):

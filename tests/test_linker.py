@@ -1,5 +1,6 @@
 """Linkage solver: matching, link rules, validation, oracle agreement."""
 
+import gc
 import random
 import time
 
@@ -171,6 +172,28 @@ def test_parse_stops_past_the_search_budget(lexicon, monkeypatch):
     with pytest.raises(SearchBudgetError,
                        match="linkage search exceeds the limit of 20 nodes"):
         parse(words, lexicon)
+
+
+def test_solve_leaves_nothing_for_the_cyclic_collector(lexicon, monkeypatch):
+    # the search state is freed on return and on SearchBudgetError, not
+    # held in a reference cycle until the collector runs
+    candidates = [lexicon.lookup("the"), None, lexicon.lookup("eats"),
+                  lexicon.lookup("meat")]
+    gc.collect()
+    gc.disable()
+    try:
+        assert solve(candidates, collect_causes=True).solutions
+        assert gc.collect() == 0
+        monkeypatch.setattr("lexacq.linker.MAX_SEARCH_NODES", 20)
+        try:
+            solve(candidates, collect_causes=True)
+        except SearchBudgetError:
+            pass
+        else:
+            pytest.fail("the search stayed within 20 nodes")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_solve_skips_a_sentence_with_a_known_word_of_no_candidates(lexicon):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexacq.lexicon import LexiconError, parse_lexicon
-from lexacq.linker import Linkage, SearchBudgetError, parse
+from lexacq.linker import Linkage, SearchBudgetError, UnknownWordError, parse
 from lexacq.semantics import (
     ConceptHierarchies,
     ConceptHierarchy,
@@ -24,7 +24,7 @@ from lexacq.semantics import (
     tag_sentence,
 )
 from lexacq.semantics import _tagged_words, _walk_semlex
-from oracle import reference_generalize, try_merge
+from oracle import reference_classify, reference_generalize, try_merge
 
 
 def D(text):
@@ -191,6 +191,16 @@ def test_tag_sentence_rejects_an_unsaturated_linkage(lexicon, hierarchies):
     broken = Linkage(linkage.words, linkage.choices, linkage.links[1:])
     with pytest.raises(ValueError, match="does not saturate"):
         tag_sentence(broken, hierarchies, SemanticLexicon(), lexicon)
+
+
+def test_tag_sentence_rejects_a_word_the_lexicon_lacks(lexicon, hierarchies):
+    linkage = parse("the condor eats meat".split(), lexicon)[0]
+    words = ("the", "snipe", "eats", "meat")
+    unknown = Linkage(words, linkage.choices, linkage.links)
+    with pytest.raises(UnknownWordError,
+                       match="unknown word 'snipe' at position 1") as info:
+        tag_sentence(unknown, hierarchies, SemanticLexicon(), lexicon)
+    assert (info.value.word, info.value.position) == ("snipe", 1)
 
 
 def test_tag_sentence_pools_identical_observations(lexicon, hierarchies):
@@ -485,6 +495,23 @@ def test_classify_rejects_a_tag_naming_no_concept(lexicon, hierarchies):
                          hierarchies)
 
 
+def test_classify_resolves_a_tag_only_when_the_earlier_tags_fit(
+        lexicon, hierarchies):
+    # cow's usage emits at its adjective slot, which links to the unknown
+    # word; its determiner slot comes before its verb slot, and "the" fits
+    # no concept
+    def semlex(determiner_tag):
+        tags = {("left", 0): "animal", ("right", 0): "unicorn"}
+        if determiner_tag is not None:
+            tags[("left", 1)] = determiner_tag
+        return SemanticLexicon({"cow": (TD("((A,Ds) (Ss))", tags),)})
+
+    words = "the wug cow eats".split()
+    assert classify_unknown(words, lexicon, semlex("thing"), hierarchies) == []
+    with pytest.raises(UnknownConceptError, match="'unicorn' is not a concept"):
+        classify_unknown(words, lexicon, semlex(None), hierarchies)
+
+
 @pytest.mark.parametrize("sentence", ["the condor eats meat",
                                       "the snipe eats the wug",
                                       "meat eats the cow"])
@@ -494,6 +521,84 @@ def test_classify_needs_exactly_one_unknown(lexicon, hierarchies,
     with pytest.raises(UnknownCountError, match="exactly one unknown word"):
         classify_unknown(sentence.split(), lexicon, trained_semlex,
                          hierarchies)
+
+
+def _outcome(classify, *args, **kwargs):
+    """What a classify call returned, or the type and message of the
+    documented error it raised."""
+    try:
+        return classify(*args, **kwargs)
+    except (LookupError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# a name that is no concept, the roots, which subsume every filler of
+# their kind, and the other concepts of the sample hierarchies
+_TAGS = (st.just("unicorn") | st.sampled_from(("thing", "action"))
+         | st.sampled_from(("animal", "bird", "condor", "cow", "food", "meat",
+                            "corn", "machine", "car", "substance",
+                            "gasoline", "consume", "eats")))
+
+
+@st.composite
+def _hand_built_semlex(draw, lexicon, words):
+    """Up to six usages for each known word of a sentence, mostly of the
+    word's own shapes, tagged at random slots with concepts of either kind
+    or with a name that is no concept."""
+    table = {}
+    for word in sorted({w for w in words if w in lexicon}):
+        shapes = lexicon.lookup(word)
+        items = []
+        for _ in range(draw(st.integers(0, 6))):
+            shape = draw(st.sampled_from(shapes + (D("((Ss) (O))"),)))
+            slots = [(side, i) for side, conns in (("left", shape.left),
+                                                   ("right", shape.right))
+                     for i in range(len(conns))]
+            items.append(TaggedDisjunct(shape, tuple(
+                (slot, draw(_TAGS)) for slot in slots
+                if draw(st.integers(0, 3)))))
+        table[word] = items
+    return SemanticLexicon(table)
+
+
+def test_classify_unknown_equals_the_reference(lexicon, hierarchies):
+    """On sentences of the sample grammar with a word or two made unknown,
+    against trained semantic lexicons and hand-built ones whose tags may
+    name no concept, with and without the inventory filter."""
+    outcomes = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        words = data.draw(_SENTENCES).split()
+        positions = st.integers(0, len(words) - 1)
+        words[data.draw(positions)] = "wug"
+        if data.draw(st.integers(0, 9)) == 0:  # a second unknown word
+            words[data.draw(positions)] = "zorp"
+        if data.draw(st.integers(0, 2)) == 0:
+            semlex = SemanticLexicon()
+            for sentence in data.draw(st.lists(_SENTENCES, min_size=1,
+                                               max_size=4)):
+                linkage = parse(sentence.split(), lexicon)[0]
+                semlex = tag_sentence(linkage, hierarchies, semlex, lexicon)
+            semlex = generalize(semlex, hierarchies)
+        else:
+            semlex = data.draw(_hand_built_semlex(lexicon, words))
+        filter_on = data.draw(st.booleans())
+        out = _outcome(classify_unknown, words, lexicon, semlex, hierarchies,
+                       filter_on=filter_on)
+        assert out == _outcome(reference_classify, words, lexicon, semlex,
+                               hierarchies, filter_on=filter_on)
+        outcomes.append((filter_on, out))
+
+    check()
+    assert len(outcomes) >= 300
+    assert {filter_on for filter_on, _ in outcomes} == {False, True}
+    raised = [out[0] for _, out in outcomes if type(out) is tuple]
+    assert raised.count(UnknownConceptError) >= 5
+    assert raised.count(NoSemanticEvidenceError) >= 10
+    found = [out for _, out in outcomes if type(out) is list]
+    assert sum(len(out) >= 2 for out in found) >= 10
 
 
 # --- tagged-lexicon format ---------------------------------------------------
