@@ -4,25 +4,26 @@ A linkage for a sentence picks one disjunct per word and a set of links so
 that links do not cross (planarity), the linkage graph is connected, no
 word pair carries more than one link (exclusion), every connector is used by
 exactly one link, and each word's links occur in the positional order its
-connector lists dictate.  Cycles are allowed.
+connector lists dictate.  Cycles are allowed.  Planarity is exactly a stack
+discipline, so with the ordering rule one choice of disjuncts fixes the
+links: `links_for` makes and labels them.
 
 The solver (`solve`, behind `parse`) is a depth-first search over the
 sentence left to right whose state is (position, open connectors): the
 stack of open rightward connectors is passed down the recursion, and the
 failure kinds each subtree witnessed are returned up it.  The rest of the
-state is scoped to the path and lives in lists of one solve: the links
-made so far and the disjunct chosen at each word are appended on the way
-down and truncated on the way back, and become tuples only at a leaf that
-is a linkage; each (position, entry index) ORs the failure kinds of its
-branches into one mask.  Solutions and causes are built from these after
-the search.  Planarity is exactly the stack discipline, and the ordering
-rule makes the link set deterministic per disjunct choice.  An unknown
-word is a wildcard whose disjunct is read off its links at each solution:
-what its left and right context link with.  Any search behind
-`solve` keeps its contract: None candidates mark wildcards, solutions come
-in canonical (search) order, `nodes` counts the search nodes, and `causes`
-holds one FAILURE_KINDS mask per known (position, disjunct) it tried that
-failed on some branch.
+state is scoped to the path and lives in lists of one solve: the links made
+so far, each with the connector at its known end instead of a label, and
+the disjunct chosen at each word are appended on the way down and truncated
+on the way back, and become tuples only at a leaf that is a linkage; each
+(position, entry index) ORs the failure kinds of its branches into one
+mask.  Solutions and causes are built from these after the search.  An
+unknown word is a wildcard whose disjunct is read off its links at each
+solution: the connectors its left and right context link with.  Any search
+behind `solve` keeps its contract: None candidates mark wildcards,
+solutions come in canonical (search) order, `nodes` counts the search
+nodes, and `causes` holds one FAILURE_KINDS mask per known (position,
+disjunct) it tried that failed on some branch.
 """
 
 from __future__ import annotations
@@ -92,6 +93,21 @@ def link_label(c1: Connector, c2: Connector) -> str:
     return str(c1) if len(c1.subscript) >= len(c2.subscript) else str(c2)
 
 
+def links_for(choices: Sequence[Disjunct]) -> tuple[tuple[int, int, str], ...]:
+    """The sorted (left, right, label) links of wildcard-free choices by the
+    stack rule: each word's left connectors, nearest first, pop the open
+    connectors on top; then its right ones are pushed, the nearest on top."""
+    stack: list = []
+    links = []
+    for p, d in enumerate(choices):
+        for a in d.left:
+            q, c = stack.pop()
+            links.append((q, p, link_label(c, a)))
+        for b in d.right:
+            stack.append((p, b))
+    return tuple(sorted(links))
+
+
 @dataclass(frozen=True, order=True)
 class Link:
     left: int
@@ -132,7 +148,8 @@ class Violation:
 
 @dataclass
 class Solution:
-    """One satisfying assignment found by `solve`."""
+    """One satisfying assignment found by `solve`: the disjunct at each
+    word, a wildcard's read off its links, and `links_for` those."""
 
     choices: tuple[Disjunct, ...]
     links: tuple[tuple[int, int, str], ...]
@@ -146,7 +163,7 @@ class SolveOutcome:
 
 
 def _reachable(links) -> set[int]:
-    """Positions reachable from word 0 over (left, right, label) links.
+    """Positions reachable from word 0 over (left, right, ...) links.
     A sentence of n words is connected iff n of them are reachable."""
     adj: dict[int, list[int]] = {}
     for q, p, _ in links:
@@ -163,16 +180,13 @@ def _reachable(links) -> set[int]:
 
 
 def _read_off(p: int, links) -> Disjunct:
-    """The disjunct a wildcard at p links with: left connectors from the
+    """The disjunct a wildcard at p links with, from links (q, r, c) that
+    carry the connector c at their known end: left connectors from the
     links (q, p) nearest q first, right connectors from the links (p, r)
-    farthest r first.  A wildcard link's label is the known word's
-    connector written out exactly."""
-    left = sorted(((q, label) for q, r, label in links if r == p),
-                  reverse=True)
-    right = sorted(((r, label) for q, r, label in links if q == p),
-                   reverse=True)
-    return Disjunct(tuple(Connector.parse(label) for _, label in left),
-                    tuple(Connector.parse(label) for _, label in right))
+    farthest r first."""
+    ordered = sorted(links, reverse=True)
+    return Disjunct(tuple(c for q, r, c in ordered if r == p),
+                    tuple(c for q, r, c in ordered if q == p))
 
 
 def solve(
@@ -184,17 +198,18 @@ def solve(
     `candidates[p]` is the disjunct sequence tried at position p, or None
     for a wildcard that may absorb any open rightward connector and may
     open connectors for later known words to absorb; never a wildcard's,
-    as no known requirement would justify that link.  The solutions come
-    in search order, which is canonical; `nodes` counts the search nodes.
-    Each branch returns the failure kinds its subtree witnessed as a
-    FAILURE_KINDS mask; with `collect_causes`, `causes` maps each known
-    (position, disjunct) pair that failed on some branch to the OR of its
-    failed branches' masks; a disjunct listed twice at one position has
-    one key.  The search keeps its path in lists of its own, freed on
-    return, and mutates no input.  Raises SentenceTooLongError past
-    MAX_SENTENCE_WORDS words and SearchBudgetError past MAX_SEARCH_NODES
-    search nodes.  A known word with no candidate links nothing, so its
-    sentence is not searched.
+    as no known requirement would justify that link.  A solution's links
+    are `links_for` its choices, a wildcard's read off the connectors its
+    links meet.  The solutions come in search order, which is canonical;
+    `nodes` counts the search nodes.  Each branch returns the failure
+    kinds its subtree witnessed as a FAILURE_KINDS mask; with
+    `collect_causes`, `causes` maps each known (position, disjunct) pair
+    that failed on some branch to the OR of its failed branches' masks; a
+    disjunct listed twice at one position has one key.  The search keeps
+    its path in lists of its own, freed on return, and mutates no input.
+    Raises SentenceTooLongError past MAX_SENTENCE_WORDS words and
+    SearchBudgetError past MAX_SEARCH_NODES search nodes.  A known word
+    with no candidate links nothing, so its sentence is not searched.
     """
     n = len(candidates)
     if n > MAX_SENTENCE_WORDS:
@@ -251,7 +266,7 @@ def solve(
             for k in range(max_k + 1):
                 if k:
                     src, conn = stack[top - k]
-                    links.append((src, p, str(conn)))
+                    links.append((src, p, conn))
                 rest = stack[: top - k]
                 for j in range(cap + 1):
                     out.nodes += 1
@@ -280,13 +295,10 @@ def solve(
                         failed = _EXCLUSION
                         break
                     seen += (src,)
-                    if conn is None:
-                        links.append((src, p, str(a)))
-                    elif match(conn, a):
-                        links.append((src, p, link_label(conn, a)))
-                    else:
+                    if conn is not None and not match(conn, a):
                         failed = _ORDERING
                         break
+                    links.append((src, p, a))
                 if not failed:
                     push = pushes[p][i]
                     if push is None:
@@ -306,9 +318,9 @@ def solve(
     finally:  # `at` holds itself through its closure: free the search state
         del at
     for chosen_at, links_at in leaves:
-        out.solutions.append(Solution(tuple(
-            _read_off(q, links_at) if d is None else d
-            for q, d in enumerate(chosen_at)), tuple(sorted(links_at))))
+        choices = tuple(_read_off(q, links_at) if d is None else d
+                        for q, d in enumerate(chosen_at))
+        out.solutions.append(Solution(choices, links_for(choices)))
     if masks is not None:
         # a position may list one disjunct twice: one key ORs both masks
         causes = out.causes

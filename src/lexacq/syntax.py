@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .lexicon import Disjunct, Lexicon, check_word
 from .linker import (FAILURE_KINDS, Link, Linkage, Solution, SolveOutcome,
-                     compatible, link_label, linkages_from, slot_links, solve)
+                     compatible, linkages_from, links_for, solve)
 
 
 class NoSolutionError(ValueError):
@@ -190,26 +190,13 @@ def _substituted(witness: Linkage, unknown: Sequence[int],
     """The witness with each unknown word's read-off disjunct replaced by
     the compatible inventory form giving the smallest links (the first in
     inventory order on ties), so the links carry the lexicon's subscripts."""
-    slots = slot_links(witness)
     choices = list(witness.choices)
-    labels = {}
     for p in unknown:
-        h = choices[p]
-        lefts, rights = slots[p]
-
-        def relabelled(form):
-            """p's (link, label) pairs with form at p, in link order."""
-            return sorted(
-                (link, link_label(c, f))
-                for links, cs, fs in ((lefts, h.left, form.left),
-                                      (rights, h.right, form.right))
-                for link, c, f in zip(links, cs, fs))
-
-        choices[p] = min((d for d in inventory if compatible(h, d)),
-                         key=relabelled)
-        labels.update(relabelled(choices[p]))
-    return Linkage(witness.words, choices, tuple(
-        Link(l.left, l.right, labels.get(l, l.label)) for l in witness.links))
+        trials = [choices[:p] + [d] + choices[p + 1:] for d in inventory
+                  if compatible(witness.choices[p], d)]
+        choices = min(trials, key=links_for)
+    return Linkage(witness.words, choices,
+                   tuple(Link(*t) for t in links_for(choices)))
 
 
 def acquire_syntax(

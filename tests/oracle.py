@@ -6,9 +6,15 @@ of matching connector occurrences, keeping the candidates that pass
 tractability.
 
 `reference_solve` is the earlier form of `linker.solve`, under the same
-contract: the same search, which collects failure causes by pushing each
-(position, disjunct) pair on a shared path and tagging the whole path with
-a set of kinds at every failed branch.
+contract: the same search, which labels every link as it makes it, reads a
+wildcard's disjunct back off those labels (`reference_read_off`), and
+collects failure causes by pushing each (position, disjunct) pair on a
+shared path and tagging the whole path with a set of kinds at every failed
+branch.
+
+`reference_substituted` is the earlier form of `syntax._substituted`: it
+relabels the unknown words' links of a witness through `slot_links`, and
+picks each unknown word's inventory form by those relabelled pairs.
 
 `reference_bijection_exists` is the earlier form of
 `linker._bijection_exists`: it tries every permutation of a word's slots.
@@ -29,12 +35,12 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-from lexacq.lexicon import Disjunct, Lexicon
+from lexacq.lexicon import Connector, Disjunct, Lexicon
 from lexacq.linker import (FAILURE_KINDS, MAX_SENTENCE_WORDS, Link, Linkage,
                            SentenceTooLongError, Solution, SolveOutcome,
-                           UnknownWordError, _reachable, _read_off,
-                           _slot_serves, compatible, link_label, match,
-                           slot_links, validate)
+                           UnknownWordError, _reachable, _slot_serves,
+                           compatible, link_label, match, slot_links,
+                           validate)
 from lexacq.semantics import (ConceptHierarchies, Evidence,
                               NoSemanticEvidenceError, SemanticLexicon,
                               TaggedDisjunct, UnknownCountError,
@@ -102,6 +108,19 @@ def enumerate_bruteforce(
     return [found[k] for k in sorted(found)]
 
 
+def reference_read_off(p: int, links) -> Disjunct:
+    """The disjunct a wildcard at p links with: left connectors from the
+    links (q, p) nearest q first, right connectors from the links (p, r)
+    farthest r first.  A wildcard link's label is the known word's
+    connector written out exactly."""
+    left = sorted(((q, label) for q, r, label in links if r == p),
+                  reverse=True)
+    right = sorted(((r, label) for q, r, label in links if q == p),
+                   reverse=True)
+    return Disjunct(tuple(Connector.parse(label) for _, label in left),
+                    tuple(Connector.parse(label) for _, label in right))
+
+
 def reference_solve(
     candidates: Sequence[Optional[Sequence[Disjunct]]],
     collect_causes: bool = False,
@@ -146,8 +165,8 @@ def reference_solve(
 
     def record_solution(links: tuple) -> None:
         by_pos = dict(applied)
-        choices = tuple(_read_off(p, links) if p in unknown else by_pos[p]
-                        for p in range(n))
+        choices = tuple(reference_read_off(p, links) if p in unknown
+                        else by_pos[p] for p in range(n))
         out.solutions.append(Solution(choices, tuple(sorted(links))))
 
     def links_for(p: int, d: Disjunct, stack: tuple):
@@ -218,6 +237,34 @@ def reference_solve(
     out.causes = {key: sum(1 << FAILURE_KINDS.index(kind) for kind in kinds)
                   for key, kinds in blamed.items()}
     return out
+
+
+def reference_substituted(witness: Linkage, unknown: Sequence[int],
+                           inventory: Sequence[Disjunct]) -> Linkage:
+    """The witness with each unknown word's read-off disjunct replaced by
+    the compatible inventory form giving the smallest relabelled links
+    (the first in inventory order on ties), so the links carry the
+    lexicon's subscripts."""
+    slots = slot_links(witness)
+    choices = list(witness.choices)
+    labels = {}
+    for p in unknown:
+        h = choices[p]
+        lefts, rights = slots[p]
+
+        def relabelled(form):
+            """p's (link, label) pairs with form at p, in link order."""
+            return sorted(
+                (link, link_label(c, f))
+                for links, cs, fs in ((lefts, h.left, form.left),
+                                      (rights, h.right, form.right))
+                for link, c, f in zip(links, cs, fs))
+
+        choices[p] = min((d for d in inventory if compatible(h, d)),
+                         key=relabelled)
+        labels.update(relabelled(choices[p]))
+    return Linkage(witness.words, choices, tuple(
+        Link(l.left, l.right, labels.get(l, l.label)) for l in witness.links))
 
 
 def reference_bijection_exists(slots, label_conns) -> bool:

@@ -4,6 +4,7 @@ import contextlib
 import errno
 import io
 import os
+import re
 import stat
 import tempfile
 import time
@@ -151,6 +152,22 @@ def test_atomic_write_replaces_content(tmp_path):
     atomic_write(target, "one\n")
     atomic_write(target, "two\n")
     assert target.read_text(encoding="utf-8") == "two\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_atomic_write_failing_rename_keeps_the_file_and_no_temp(
+        tmp_path, monkeypatch):
+    target = tmp_path / "file.txt"
+    target.write_bytes(b"one\n")
+
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    message = "cannot write %s: %s" % (target, os.strerror(errno.EACCES))
+    with pytest.raises(WorkspaceError, match="^%s$" % re.escape(message)):
+        atomic_write(target, "two\n")
+    assert target.read_bytes() == b"one\n"
     assert list(tmp_path.iterdir()) == [target]
 
 

@@ -76,6 +76,14 @@ def test_parse_rejects_duplicate_disjunct():
         parse_lexicon("the: (( ) (D)) | (( ) (D))")
 
 
+def test_lexicon_rejects_an_empty_entry_and_a_duplicate_disjunct():
+    d = Disjunct((), (Connector("D"),))
+    with pytest.raises(LexiconError, match="word 'the' has no disjuncts"):
+        Lexicon({"the": ()})
+    with pytest.raises(LexiconError, match="duplicate disjunct for 'the'"):
+        Lexicon({"the": (d, d)})
+
+
 def test_inventory_is_distinct_and_sorted(lexicon):
     inv = lexicon.inventory()
     assert len(inv) == len(set(inv))

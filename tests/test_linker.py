@@ -20,6 +20,7 @@ from lexacq.linker import (
     compatible,
     link_label,
     linkages_from,
+    links_for,
     match,
     parse,
     slot_links,
@@ -174,6 +175,16 @@ def test_parse_stops_past_the_search_budget(lexicon, monkeypatch):
         parse(words, lexicon)
 
 
+def test_solve_stops_past_the_search_budget_at_a_wildcard(lexicon,
+                                                          monkeypatch):
+    # node 1 is the's one disjunct, node 2 the wildcard's first branch
+    candidates = [lexicon.lookup("the"), None, lexicon.lookup("eats")]
+    monkeypatch.setattr("lexacq.linker.MAX_SEARCH_NODES", 1)
+    with pytest.raises(SearchBudgetError,
+                       match="linkage search exceeds the limit of 1 nodes"):
+        solve(candidates)
+
+
 def test_solve_leaves_nothing_for_the_cyclic_collector(lexicon, monkeypatch):
     # the search state is freed on return and on SearchBudgetError, not
     # held in a reference cycle until the collector runs
@@ -270,11 +281,19 @@ def test_validate_flags_label_mismatch_as_saturation():
 
 
 def test_validate_flags_label_no_connector_displays():
-    linkage = linkage_of(
-        "a b",
-        ["(( ) (S))", "((S) ( ))"],
-        [(0, 1, "Ss")])
-    assert {v.rule for v in validate(linkage)} == {"saturation"}
+    # Ss is a connector S cannot display; ss is no connector at all
+    for label in ("Ss", "ss"):
+        linkage = linkage_of(
+            "a b",
+            ["(( ) (S))", "((S) ( ))"],
+            [(0, 1, label)])
+        assert {v.rule for v in validate(linkage)} == {"saturation"}, label
+
+
+def test_validate_rejects_a_link_past_the_last_word():
+    linkage = linkage_of("a b", ["(( ) (X))", "((X) ( ))"], [(0, 2, "X")])
+    with pytest.raises(ValueError, match="outside sentence"):
+        validate(linkage)
 
 
 def test_validate_ordering_fault_does_not_spread_to_partners():
@@ -444,7 +463,12 @@ def _two_wildcard_grammars(draw):
 def test_solve_agrees_with_oracle_on_random_grammars(case):
     lex, words, u = case
     linkages = parse(words, lex)
-    assert linkages == enumerate_bruteforce(words, lex)
+    oracle = enumerate_bruteforce(words, lex)
+    assert linkages == oracle
+    # the stack rule alone gives each linkage's links from its choices
+    for linkage in oracle:
+        assert tuple(Link(*t) for t in links_for(linkage.choices)) == (
+            linkage.links)
     # each word's slot lists fit its disjunct, and each link sits at one
     # slot of each of its two words
     for linkage in linkages:

@@ -19,10 +19,12 @@ from lexacq.syntax import (
     TraceEvent,
     _cause_reason,
     _frequencies,
+    _substituted,
     acquire_syntax,
     filter_by_inventory,
     render_trace,
 )
+from oracle import reference_substituted
 
 GOLDEN_TRACE = Path(__file__).parent / "data" / "snipe_trace.txt"
 
@@ -544,6 +546,66 @@ def test_witness_takes_the_inventory_form_with_the_smallest_links():
     assert result.linkages[0].link_set() == {(0, 2, "Cc"), (1, 2, "E")}
     assert result.linkages[0] == _witness_linkage(
         words, result.pruned_known, result.joints[0], lex, substitute=True)
+
+
+# forms that differ by subscript, so an unknown word's read-off disjunct
+# may match several, and sentences that link over them
+_SUBSCRIPTED = parse_lexicon("""
+    xx: (( ) (A)) | (( ) (Ab)) | ((B) ( ))
+    yy: (( ) (B)) | ((A) (B)) | ((Ab) (Cc))
+    zz: (( ) (Cc)) | ((B) (E))
+    ww: (( ) (E)) | ((E) ( ))
+    pp: ((Ba,Az) ( )) | ((Bz,Aa) ( )) | ((E,Cc) ( )) | ((E,C) ( )) |
+        ((Cz) ( ))
+""")
+_SUBSCRIPTED_SENTENCES = (
+    "yy xx", "ww ww", "xx yy xx", "xx yy pp", "yy zz ww", "zz ww pp",
+    "xx xx yy pp", "xx yy zz ww", "xx yy ww pp", "zz yy zz pp",
+    "xx yy yy zz pp", "zz xx yy zz pp")
+
+
+@st.composite
+def _subscripted_sentences_with_unknowns(draw):
+    """A `_SUBSCRIPTED` sentence with one or two of its words unknown."""
+    words = draw(st.sampled_from(_SUBSCRIPTED_SENTENCES)).split()
+    for p, unknown in zip(draw(st.lists(
+            st.integers(0, len(words) - 1), min_size=1, max_size=2,
+            unique=True)), ("wug", "zorp")):
+        words[p] = unknown
+    return words
+
+
+def test_substituted_witness_equals_the_reference(lexicon):
+    """On acquisitions with one or two unknown words, over the sample
+    lexicon and over `_SUBSCRIPTED`, on every joint whose hypotheses all
+    have a compatible inventory form; some offer an unknown word two or
+    more."""
+    cases = []  # (unknown words, most compatible forms at one of them)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=st.one_of(
+        _sentences_with_unknowns().map(lambda words: (lexicon, words)),
+        _subscripted_sentences_with_unknowns().map(
+            lambda words: (_SUBSCRIPTED, words))))
+    def check(case):
+        lex, words = case
+        try:
+            result = acquire_syntax(words, lex, filter_on=False)
+        except NoSolutionError:
+            return
+        unknown = result.unknown_positions
+        inventory = lex.inventory()
+        for joint, witness in zip(result.joints, result.linkages):
+            forms = [sum(compatible(joint[p], d) for d in inventory)
+                     for p in unknown]
+            if min(forms):
+                assert _substituted(witness, unknown, inventory) == (
+                    reference_substituted(witness, unknown, inventory))
+                cases.append((len(unknown), max(forms)))
+
+    check()
+    assert sum(count == 2 for count, _ in cases) >= 50
+    assert sum(forms >= 2 for _, forms in cases) >= 20
 
 
 @settings(max_examples=200, deadline=None)
