@@ -4,7 +4,8 @@ A workspace is a directory with a flat key=value configuration file
 (``workspace.cfg``) naming the lexicon, the two concept-hierarchy files,
 and the semantic lexicon, plus option defaults.  Paths are resolved
 relative to the configuration file; environment variables are never
-consulted.  All file writes are atomic (write to a temp file, then rename).
+consulted.  All file writes are atomic (write to a temp file beside the
+file a path names, through any symlinks, then rename it over that file).
 
 Exit codes: 0 success, 1 invalid sentence or corpus line, 2 usage or
 configuration error.
@@ -131,18 +132,21 @@ def _file_mode(path: Path) -> int:
 
 
 def atomic_write(path: Path, text: str) -> None:
-    """Write text to path via a sibling temp file and rename; path keeps
-    its mode, or gets the one open() would give a new file.  Raises
-    WorkspaceError, leaving path as it was, when it cannot be written."""
+    """Write text to the file path names, through any symlinks, via a temp
+    file beside that file and a rename, so a symlink stays a symlink; the
+    file keeps its mode, or gets the one open() would give a new file.
+    Raises WorkspaceError, leaving the file as it was, when it cannot be
+    written."""
     try:
-        mode = _file_mode(path)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent),
-                                   prefix=path.name + ".")
+        target = Path(os.path.realpath(path))
+        mode = _file_mode(target)
+        fd, tmp = tempfile.mkstemp(dir=str(target.parent),
+                                   prefix=target.name + ".")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
             os.chmod(tmp, mode)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -191,15 +195,17 @@ def load_workspace(location: str | os.PathLike) -> Workspace:
     for key in _PATH_KEYS:
         if key not in values:
             raise WorkspaceError("%s: missing required option %r" % (path, key))
-    # train writes semlex: a file named twice could be overwritten as the
-    # wrong kind, and later commands could no longer read it
+    # train writes semlex: a file named twice, also through a symlink,
+    # could be overwritten as the wrong kind, and later commands could no
+    # longer read it
     named: dict[str, str] = {}
     for key in _PATH_KEYS:
-        target = os.path.normpath(base / values[key])
-        if target in named:
+        real = os.path.realpath(base / values[key])
+        if real in named:
             raise WorkspaceError("%s: options %r and %r name the same file %s"
-                                 % (path, named[target], key, target))
-        named[target] = key
+                                 % (path, named[real], key,
+                                    os.path.normpath(base / values[key])))
+        named[real] = key
 
     max_unknowns = 2
     if "max_unknowns" in values:

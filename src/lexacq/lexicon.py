@@ -41,16 +41,19 @@ class LexiconError(ValueError):
 
 @dataclass(frozen=True, order=True)
 class Connector:
-    """An uppercase base name plus an optional lowercase subscript."""
+    """An uppercase ASCII base name plus an optional lowercase ASCII
+    subscript."""
 
     base: str
     subscript: str = ""
 
     def __post_init__(self):
-        if not self.base or not self.base.isupper() or not self.base.isalpha():
+        if (not self.base or not self.base.isascii()
+                or not self.base.isupper() or not self.base.isalpha()):
             raise LexiconError("bad connector base %r" % (self.base,))
         if self.subscript and not (
-            self.subscript.islower() and self.subscript.isalpha()
+            self.subscript.isascii() and self.subscript.islower()
+            and self.subscript.isalpha()
         ):
             raise LexiconError("bad connector subscript %r" % (self.subscript,))
 

@@ -15,20 +15,23 @@ failure kinds each subtree witnessed are returned up it.  The rest of the
 state is scoped to the path and lives in lists of one solve: the links made
 so far, each with the connector at its known end instead of a label, and
 the disjunct chosen at each word are appended on the way down and truncated
-on the way back, and become tuples only at a leaf that is a linkage; each
-(position, entry index) ORs the failure kinds of its branches into one
-mask.  Solutions and causes are built from these after the search.  An
-unknown word is a wildcard whose disjunct is read off its links at each
-solution: the connectors its left and right context link with.  Any search
-behind `solve` keeps its contract: None candidates mark wildcards,
-solutions come in canonical (search) order, `nodes` counts the search
-nodes, and `causes` holds one FAILURE_KINDS mask per known (position,
-disjunct) it tried that failed on some branch.
+on the way back; each (position, entry index) ORs the failure kinds of its
+branches into one mask, and the causes are built from these after the
+search.  A solution is its choice vector, one disjunct per word, made at a
+leaf that is a linkage.  An unknown word is a wildcard whose disjunct is
+read off the path's links at that leaf: the connectors its left and right
+context link with.  `linkages_from` turns choice vectors into linkages
+through `links_for`.  Any search behind `solve` keeps its contract: None
+candidates mark wildcards, solutions are choice vectors in canonical
+(search) order, `nodes` counts the search nodes, and `causes` holds one
+FAILURE_KINDS mask per known (position, disjunct) it tried that failed on
+some branch.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -147,17 +150,10 @@ class Violation:
 
 
 @dataclass
-class Solution:
-    """One satisfying assignment found by `solve`: the disjunct at each
-    word, a wildcard's read off its links, and `links_for` those."""
-
-    choices: tuple[Disjunct, ...]
-    links: tuple[tuple[int, int, str], ...]
-
-
-@dataclass
 class SolveOutcome:
-    solutions: list[Solution]
+    # each solution is its choice vector, one disjunct per word, in
+    # canonical order; `links_for` gives its links
+    solutions: list[tuple[Disjunct, ...]]
     nodes: int = 0
     causes: dict = field(default_factory=dict)  # (pos, disjunct) -> mask
 
@@ -198,11 +194,11 @@ def solve(
     `candidates[p]` is the disjunct sequence tried at position p, or None
     for a wildcard that may absorb any open rightward connector and may
     open connectors for later known words to absorb; never a wildcard's,
-    as no known requirement would justify that link.  A solution's links
-    are `links_for` its choices, a wildcard's read off the connectors its
-    links meet.  The solutions come in search order, which is canonical;
-    `nodes` counts the search nodes.  Each branch returns the failure
-    kinds its subtree witnessed as a FAILURE_KINDS mask; with
+    as no known requirement would justify that link.  Each solution is a
+    choice vector: the disjunct at each word, a wildcard's read off the
+    connectors its links meet.  The solutions come in search order, which
+    is canonical; `nodes` counts the search nodes.  Each branch returns
+    the failure kinds its subtree witnessed as a FAILURE_KINDS mask; with
     `collect_causes`, `causes` maps each known (position, disjunct) pair
     that failed on some branch to the OR of its failed branches' masks; a
     disjunct listed twice at one position has one key.  The search keeps
@@ -235,7 +231,6 @@ def solve(
     pushes = [None if ds is None else [None] * len(ds) for ds in candidates]
     masks = ([None if ds is None else [0] * len(ds) for ds in candidates]
              if collect_causes else None)
-    leaves: list = []
 
     def at(p: int, stack: tuple) -> int:
         """Search on from word p, given the open rightward connectors: a
@@ -246,7 +241,8 @@ def solve(
                 return _ORDERING
             if len(_reachable(links)) < n:
                 return _CONNECTIVITY
-            leaves.append((tuple(chosen), tuple(links)))
+            out.solutions.append(tuple(_read_off(q, links) if d is None else d
+                                       for q, d in enumerate(chosen)))
             return 0
         kinds = 0
         top = len(stack)
@@ -317,10 +313,6 @@ def solve(
         at(0, ())
     finally:  # `at` holds itself through its closure: free the search state
         del at
-    for chosen_at, links_at in leaves:
-        choices = tuple(_read_off(q, links_at) if d is None else d
-                        for q, d in enumerate(chosen_at))
-        out.solutions.append(Solution(choices, links_for(choices)))
     if masks is not None:
         # a position may list one disjunct twice: one key ORs both masks
         causes = out.causes
@@ -346,13 +338,12 @@ def parse(words: Sequence[str], lexicon: Lexicon) -> list[Linkage]:
     return linkages_from(words, solve(candidates).solutions)
 
 
-def linkages_from(words: Sequence[str], solutions: Sequence[Solution]
-                  ) -> list[Linkage]:
-    """The solutions' linkages, in the order given."""
-    return [
-        Linkage(words, sol.choices, tuple(Link(*t) for t in sol.links))
-        for sol in solutions
-    ]
+def linkages_from(words: Sequence[str],
+                  solutions: Sequence[Sequence[Disjunct]]) -> list[Linkage]:
+    """The linkages of the choice vectors, in the order given, each with
+    the links `links_for` its choices."""
+    return [Linkage(words, c, tuple(Link(*t) for t in links_for(c)))
+            for c in solutions]
 
 
 # --- validation -----------------------------------------------------------
@@ -391,39 +382,23 @@ def _slot_serves(slot: Connector, label_conn) -> bool:
 
 def _bijection_exists(slots, label_conns) -> bool:
     """Is there any slot assignment serving every incident link's label?
-    A bipartite matching of labels to slots, grown one label at a time
-    along a breadth-first augmenting path."""
-    if len(slots) != len(label_conns):
+    Within one base a bare slot or label matches any other, and two
+    subscripted ones match only when their subscripts are equal.  So one
+    exists iff every label is a connector, each base has as many slots as
+    labels, and the subscripted labels that no slot of their own subscript
+    can take fit in that base's bare slots."""
+    if len(slots) != len(label_conns) or None in label_conns:
         return False
-    serves = [[s for s, slot in enumerate(slots) if _slot_serves(slot, lc)]
-              for lc in label_conns]
-    owner = [None] * len(slots)  # the label each slot serves
-    slot_of = [None] * len(label_conns)
-    for start in range(len(label_conns)):
-        reached_by = {}  # slot -> the label whose edge reached it
-        frontier = [start]
-        free = None
-        while frontier and free is None:
-            ahead = []
-            for label in frontier:
-                for s in serves[label]:
-                    if s not in reached_by:
-                        reached_by[s] = label
-                        if owner[s] is None:
-                            free = s
-                            break
-                        ahead.append(owner[s])
-                if free is not None:
-                    break
-            frontier = ahead
-        if free is None:
-            return False
-        # shift each label on the path to the slot that reached it
-        s = free
-        while s is not None:
-            label = reached_by[s]
-            owner[s], s, slot_of[label] = label, slot_of[label], s
-    return True
+    surplus = Counter((c.base, c.subscript) for c in label_conns)
+    surplus.subtract((c.base, c.subscript) for c in slots)
+    per_base = Counter()
+    bare_left = Counter(c.base for c in slots if not c.subscript)
+    for (base, subscript), n in surplus.items():
+        per_base[base] += n
+        if subscript and n > 0:
+            bare_left[base] -= n
+    return (not any(per_base.values())
+            and min(bare_left.values(), default=0) >= 0)
 
 
 def validate(linkage: Linkage) -> list[Violation]:

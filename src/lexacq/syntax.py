@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .lexicon import Disjunct, Lexicon, check_word
-from .linker import (FAILURE_KINDS, Link, Linkage, Solution, SolveOutcome,
-                     compatible, linkages_from, links_for, solve)
+from .linker import (FAILURE_KINDS, Linkage, SolveOutcome, compatible,
+                     linkages_from, links_for, solve)
 
 
 class NoSolutionError(ValueError):
@@ -123,7 +123,7 @@ def _prune(words: tuple[str, ...], known: Mapping[int, tuple[Disjunct, ...]]):
     outcome = solve(candidates, collect_causes=True)
     emptied = next((p for p, ds in survivors.items() if not ds), None)
 
-    supported = {(p, sol.choices[p]) for sol in outcome.solutions
+    supported = {(p, choices[p]) for choices in outcome.solutions
                  for p in known}
     pruned: dict[int, tuple[Disjunct, ...]] = {}
     for p in sorted(survivors):
@@ -162,15 +162,16 @@ def _ranked(keys: Iterable[tuple], i: int, rank) -> tuple[Disjunct, ...]:
 
 
 def _joints_from(outcome: SolveOutcome, unknown: Sequence[int]
-                 ) -> dict[tuple, Solution]:
-    """Distinct joint assignments in discovery order, each with its
-    canonically smallest solution."""
-    joints: dict[tuple, Solution] = {}
-    for sol in outcome.solutions:
-        key = tuple(sol.choices[p] for p in unknown)
-        if key not in joints or sol.links < joints[key].links:
-            joints[key] = sol
-    return joints
+                 ) -> dict[tuple, tuple[Disjunct, ...]]:
+    """Distinct joint assignments in discovery order, each with the choice
+    vector of its smallest links, the first found on ties; links are made
+    only for a joint that more than one solution has."""
+    joints: dict[tuple, list] = {}
+    for choices in outcome.solutions:
+        joints.setdefault(tuple(choices[p] for p in unknown), []).append(
+            choices)
+    return {key: sols[0] if len(sols) == 1 else min(sols, key=links_for)
+            for key, sols in joints.items()}
 
 
 def filter_by_inventory(hyps: Sequence[Disjunct],
@@ -185,18 +186,18 @@ def filter_by_inventory(hyps: Sequence[Disjunct],
     )
 
 
-def _substituted(witness: Linkage, unknown: Sequence[int],
-                 inventory: Sequence[Disjunct]) -> Linkage:
-    """The witness with each unknown word's read-off disjunct replaced by
-    the compatible inventory form giving the smallest links (the first in
-    inventory order on ties), so the links carry the lexicon's subscripts."""
-    choices = list(witness.choices)
+def _substituted(witness: tuple[Disjunct, ...], unknown: Sequence[int],
+                 inventory: Sequence[Disjunct]) -> tuple[Disjunct, ...]:
+    """The witness's choices with each unknown word's read-off disjunct
+    replaced by the compatible inventory form giving the smallest links
+    (the first in inventory order on ties), so the links carry the
+    lexicon's subscripts."""
+    choices = witness
     for p in unknown:
-        trials = [choices[:p] + [d] + choices[p + 1:] for d in inventory
-                  if compatible(witness.choices[p], d)]
+        trials = [choices[:p] + (d,) + choices[p + 1:] for d in inventory
+                  if compatible(witness[p], d)]
         choices = min(trials, key=links_for)
-    return Linkage(witness.words, choices,
-                   tuple(Link(*t) for t in links_for(choices)))
+    return choices
 
 
 def acquire_syntax(
@@ -289,9 +290,10 @@ def acquire_syntax(
                   for i, p in enumerate(unknown)}
 
     # each joint's witness is its smallest solution of the pruning solve
-    linkages = linkages_from(words, [joint_map[key] for key in surviving])
+    witnesses = [joint_map[key] for key in surviving]
     if filter_on and not novel:
-        linkages = [_substituted(l, unknown, inventory) for l in linkages]
+        witnesses = [_substituted(c, unknown, inventory) for c in witnesses]
+    linkages = linkages_from(words, witnesses)
 
     return AcquisitionResult(
         words, tuple(unknown), hypotheses, prefilter, pruned,

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 from lexacq.lexicon import Connector, Disjunct, Lexicon
 from lexacq.linker import (FAILURE_KINDS, MAX_SENTENCE_WORDS, Link, Linkage,
-                           SentenceTooLongError, Solution, SolveOutcome,
+                           SentenceTooLongError, SolveOutcome,
                            UnknownWordError, _reachable, _slot_serves,
                            compatible, link_label, match, slot_links,
                            validate)
@@ -167,7 +167,7 @@ def reference_solve(
         by_pos = dict(applied)
         choices = tuple(reference_read_off(p, links) if p in unknown
                         else by_pos[p] for p in range(n))
-        out.solutions.append(Solution(choices, tuple(sorted(links))))
+        out.solutions.append(choices)
 
     def links_for(p: int, d: Disjunct, stack: tuple):
         """The links d's left connectors make with the top of the stack;

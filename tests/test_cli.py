@@ -549,6 +549,48 @@ def test_train_refuses_a_semlex_that_is_the_lexicon(ws, capsys):
     assert (ws / "lexicon.lg").read_bytes() == lexicon
 
 
+def _link_to_shared(ws, name):
+    """Move the workspace file name to a sibling directory and leave a
+    relative symlink to it; returns the moved file."""
+    shared = ws.parent / "shared"
+    shared.mkdir()
+    target = shared / name
+    (ws / name).rename(target)
+    (ws / name).symlink_to(Path("..", "shared", name))
+    return target
+
+
+def test_acquire_write_updates_a_symlinked_lexicon(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert main(["init", str(ws)]) == 0
+    target = _link_to_shared(ws, "lexicon.lg")
+    assert run(ws, "acquire", "--write", "the snipe eats meat") == 0
+    assert (ws / "lexicon.lg").is_symlink()
+    assert b"snipe: ((D) (Ss))" in target.read_bytes()
+    assert sorted(p.name for p in target.parent.iterdir()) == ["lexicon.lg"]
+
+
+def test_train_updates_a_symlinked_semlex(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert main(["init", str(ws)]) == 0
+    (ws / "semantic_lexicon.lg").write_text("", encoding="utf-8")
+    target = _link_to_shared(ws, "semantic_lexicon.lg")
+    assert run(ws, "train", str(ws / "sample_corpus.txt")) == 0
+    assert (ws / "semantic_lexicon.lg").is_symlink()
+    assert b"eats: ((Ss_animal) (O_food))" in target.read_bytes()
+
+
+def test_train_refuses_a_semlex_that_links_to_the_lexicon(ws, capsys):
+    (ws / "semlink.lg").symlink_to("lexicon.lg")
+    _set_option(ws, "semlex = semantic_lexicon.lg", "semlex = semlink.lg")
+    before = {p: p.read_bytes() for p in ws.iterdir()}
+    assert run(ws, "train", str(ws / "sample_corpus.txt")) == 2
+    assert capsys.readouterr() == (
+        "", "error: %s: options 'lexicon' and 'semlex' name the same file"
+        " %s\n" % (ws / "workspace.cfg", ws / "semlink.lg"))
+    assert {p: p.read_bytes() for p in ws.iterdir()} == before
+
+
 def test_classify_after_training(ws, capsys):
     assert run(ws, "train", str(ws / "sample_corpus.txt")) == 0
     capsys.readouterr()

@@ -78,6 +78,8 @@ LEXICON_ERRORS = [
      "line 1: expected word, got ';'", 1),
     ('the: (( ) (D)) ((A) ( ))',
      "line 1: expected word, got '('", 1),
+    ('| (( ) (D))',
+     "line 1: expected word, got '|'", 1),
     # duplicate word or disjunct
     ('the: (( ) (D))\n\nthe: (( ) (A))',
      "line 3: duplicate definition of 'the'", 3),

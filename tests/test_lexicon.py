@@ -24,6 +24,15 @@ def test_connector_parse_rejects_malformed(bad):
         Connector.parse(bad)
 
 
+@pytest.mark.parametrize("base, subscript", [
+    ("É", ""), ("A", "é"), ("A", "ª")])
+def test_connector_accepts_only_ascii_letters(base, subscript):
+    # the lexicon text format has ASCII connectors only, so a connector
+    # of other letters could be written out but not read back
+    with pytest.raises(LexiconError):
+        Connector(base, subscript)
+
+
 def test_connector_str_round_trip():
     for text in ["S", "Ss", "ABC", "Xyz"]:
         assert str(Connector.parse(text)) == text
@@ -33,6 +42,7 @@ def test_disjunct_str_empty_sides():
     assert str(Disjunct((), ())) == "(( ) ( ))"
     d = Disjunct((Connector("A"), Connector("D", "s")), (Connector("S", "s"),))
     assert str(d) == "((A,Ds) (Ss))"
+    assert Disjunct(list(d.left), list(d.right)) == d
 
 
 def test_parse_single_entry():
@@ -82,6 +92,8 @@ def test_lexicon_rejects_an_empty_entry_and_a_duplicate_disjunct():
         Lexicon({"the": ()})
     with pytest.raises(LexiconError, match="duplicate disjunct for 'the'"):
         Lexicon({"the": (d, d)})
+    with pytest.raises(LexiconError, match="word 'the' has no disjuncts"):
+        Lexicon({}).add("the", ())
 
 
 def test_inventory_is_distinct_and_sorted(lexicon):
@@ -114,6 +126,9 @@ def test_add_rejects_bad_word(lexicon):
 
 def test_round_trip_value_equality(lexicon):
     assert parse_lexicon(serialize_lexicon(lexicon)) == lexicon
+    built = Lexicon({"ab": (Disjunct((Connector("AB", "xy"),),
+                                     (Connector("Z"),)),)})
+    assert parse_lexicon(serialize_lexicon(built)) == built
 
 
 def test_serialize_one_sorted_line_per_word():

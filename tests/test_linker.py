@@ -290,6 +290,11 @@ def test_validate_flags_label_no_connector_displays():
         assert {v.rule for v in validate(linkage)} == {"saturation"}, label
 
 
+def test_linkage_needs_one_choice_per_word():
+    with pytest.raises(ValueError, match="one disjunct choice per word"):
+        linkage_of("a b", ["(( ) ( ))"], [])
+
+
 def test_validate_rejects_a_link_past_the_last_word():
     linkage = linkage_of("a b", ["(( ) (X))", "((X) ( ))"], [(0, 2, "X")])
     with pytest.raises(ValueError, match="outside sentence"):
@@ -397,6 +402,10 @@ def _slots_and_labels(draw):
 # on to slot Xa, and a matching that loses track of that move finds slot Xb
 # free for the second
 @example(case=([C("X"), C("Xa"), C("Xb")], [C("X"), C("Xc"), C("Xc")]))
+# label Sb takes the bare slot, so Sa keeps its own
+@example(case=([C("S"), C("Sa")], [C("Sa"), C("Sb")]))
+# no slot serves Sb
+@example(case=([C("Sa"), C("Sa")], [C("Sa"), C("Sb")]))
 def test_slot_matching_agrees_with_the_permutation_search(case):
     slots, labels = case
     assert _bijection_exists(slots, labels) == (
@@ -485,7 +494,7 @@ def test_solve_agrees_with_oracle_on_random_grammars(case):
     solutions = solve(candidates).solutions
     masked = list(words)
     masked[u] = "wug"
-    read_off = {sol.choices[u] for sol in solutions}
+    read_off = {sol[u] for sol in solutions}
     # sound: with the solution's disjuncts as the only entries, wug's read
     # off its links, the oracle finds the solution's linkage (validated
     # first, since an invalid one can make the oracle's enumeration huge)
@@ -493,7 +502,7 @@ def test_solve_agrees_with_oracle_on_random_grammars(case):
         linkage = linkages_from(masked, [sol])[0]
         assert not validate(linkage), (masked, sol)
         entries: dict = {}
-        for w, d in zip(masked, sol.choices):
+        for w, d in zip(masked, sol):
             if d not in entries.setdefault(w, []):
                 entries[w].append(d)
         assert linkage in enumerate_bruteforce(masked, Lexicon(entries)), (
@@ -545,6 +554,6 @@ def test_solve_merges_the_causes_of_a_disjunct_listed_twice():
         for collect_causes in (False, True):
             outcome = solve(candidates, collect_causes)
             assert outcome == reference_solve(candidates, collect_causes)
-        assert [sol.choices[1] for sol in outcome.solutions] == [
+        assert [sol[1] for sol in outcome.solutions] == [
             det_s, det_s]
         assert outcome.causes[(1, both)]

@@ -125,6 +125,8 @@ def test_hierarchies_of_the_wrong_kinds_are_an_error(hierarchies):
         ConceptHierarchies(verbs, nouns)
     with pytest.raises(HierarchyError):
         ConceptHierarchies(nouns, nouns)
+    with pytest.raises(HierarchyError, match="bad hierarchy kind 'adj'"):
+        ConceptHierarchy("adj", nouns.edges)
 
 
 def test_kind_of_selects_hierarchy(hierarchies):
@@ -254,6 +256,17 @@ def test_tagged_disjunct_str():
     td = TD("((Ss) (O))", {("left", 0): "animal",
                            ("right", 0): "food"}, 2)
     assert str(td) == "((Ss_animal) (O_food))"
+
+
+@pytest.mark.parametrize("tags, support, message", [
+    ({("left", 1): "animal"}, 1, r"tag slot \('left', 1\) outside shape"),
+    ({("up", 0): "animal"}, 1, r"tag slot \('up', 0\) outside shape"),
+    ({("left", 0): "animal"}, 0, "support must be positive"),
+])
+def test_tagged_disjunct_rejects_a_bad_slot_or_support(tags, support,
+                                                       message):
+    with pytest.raises(ValueError, match=message):
+        TD("((Ss) (O))", tags, support)
 
 
 def test_generalize_merges_below_root(trained_semlex):

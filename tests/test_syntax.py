@@ -12,7 +12,7 @@ from lexacq.lexicon import (Connector, Disjunct, Lexicon, LexiconError,
                             parse_lexicon, serialize_lexicon)
 from lexacq.linker import (FAILURE_KINDS, SearchBudgetError,
                            SentenceTooLongError, compatible, linkages_from,
-                           parse, solve, validate)
+                           links_for, parse, solve, validate)
 from lexacq.syntax import (
     NoSolutionError,
     TooManyUnknownsError,
@@ -485,7 +485,7 @@ def _witness_linkage(words, pruned, joint, lexicon, substitute):
     outcome = solve(candidates)
     if not outcome.solutions:
         return None
-    best = min(outcome.solutions, key=lambda s: s.links)
+    best = min(outcome.solutions, key=links_for)
     return linkages_from(words, [best])[0]
 
 
@@ -599,7 +599,8 @@ def test_substituted_witness_equals_the_reference(lexicon):
             forms = [sum(compatible(joint[p], d) for d in inventory)
                      for p in unknown]
             if min(forms):
-                assert _substituted(witness, unknown, inventory) == (
+                substituted = _substituted(witness.choices, unknown, inventory)
+                assert linkages_from(words, [substituted])[0] == (
                     reference_substituted(witness, unknown, inventory))
                 cases.append((len(unknown), max(forms)))
 
