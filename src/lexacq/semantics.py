@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .lexicon import (_CONNECTOR_PATTERN, _LINE_BREAKS, _NAME_PATTERN,
                       _WORD_RE, Connector, Disjunct, Lexicon, LexiconError,
                       _body_pattern, _body_tokens, _Tokens, _uncomment,
-                      parse_disjunct_body)
+                      check_word, parse_disjunct_body)
 from .linker import Linkage, UnknownWordError, compatible, slot_links
 from .syntax import acquire_syntax
 
@@ -60,6 +60,20 @@ class ConceptHierarchy:
     edges: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
+        self._place(names_checked=False)
+
+    @classmethod
+    def _of(cls, kind: str, edges: tuple) -> "ConceptHierarchy":
+        """A hierarchy of edges whose concept names a reader has already
+        checked."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "kind", kind)
+        object.__setattr__(out, "edges", edges)
+        out._place(names_checked=True)
+        return out
+
+    def _place(self, names_checked: bool) -> None:
+        """Check the kind and the edges, then derive the tree's maps."""
         if self.kind not in ("noun", "verb"):
             raise HierarchyError("bad hierarchy kind %r" % (self.kind,))
         edges = tuple(self.edges)
@@ -67,6 +81,10 @@ class ConceptHierarchy:
             raise HierarchyError("empty hierarchy")
         placed: set = set()
         for p, c in edges:
+            if not names_checked:
+                for name in (p, c):
+                    if not _WORD_RE.match(name):
+                        raise HierarchyError("bad concept name %r" % (name,))
             problem = _misplaced(placed, p, c)
             if problem is not None:
                 raise HierarchyError(problem)
@@ -82,9 +100,9 @@ class ConceptHierarchy:
         """One `parent > child` edge per line; the first line's parent is
         the root.  `#` starts a comment."""
         try:  # text the regex path cannot read has no edges
-            return cls(kind, _read_hierarchy(text) or ())
+            return cls._of(kind, _read_hierarchy(text) or ())
         except HierarchyError:  # the line loop names the bad edge's line
-            return cls(kind, _walk_hierarchy(text))
+            return cls._of(kind, _walk_hierarchy(text))
 
     def serialize(self) -> str:
         return "".join("%s > %s\n" % e for e in self.edges)
@@ -239,11 +257,13 @@ class TaggedDisjunct:
         items = sorted(dict(self.tags).items(),
                        key=lambda item: (item[0][0] != "left", item[0][1]))
         object.__setattr__(self, "tags", tuple(items))
-        for (side, index), _tag in self.tags:
+        for (side, index), tag in self.tags:
             conns = self.shape.left if side == "left" else self.shape.right
             if side not in ("left", "right") or not 0 <= index < len(conns):
                 raise ValueError("tag slot (%r, %r) outside shape %s"
                                  % (side, index, self.shape))
+            if not _WORD_RE.match(tag):
+                raise LexiconError("bad tag name %r" % (tag,))
         if self.support < 1:
             raise ValueError("support must be positive")
 
@@ -291,8 +311,10 @@ class SemanticLexicon:
 
     def __init__(self, entries: Optional[Mapping[str, Iterable[TaggedDisjunct]]]
                  = None):
-        self._entries = {word: _pooled(obs)
-                         for word, obs in (entries or {}).items()}
+        entries = entries or {}
+        for word in entries:
+            check_word(word)
+        self._entries = {word: _pooled(obs) for word, obs in entries.items()}
         self._build = None
 
     @classmethod
@@ -339,6 +361,7 @@ class SemanticLexicon:
 
     def observe(self, word: str, obs: TaggedDisjunct) -> "SemanticLexicon":
         """Add one observation, pooled into an equal one if there is one."""
+        check_word(word)
         return self._observed([(word, obs)])
 
     def _observed(self, pairs: Iterable[tuple]) -> "SemanticLexicon":

@@ -143,17 +143,15 @@ def _prune(words: tuple[str, ...], known: Mapping[int, tuple[Disjunct, ...]]):
 # --- hypothesis generation --------------------------------------------------
 
 
-def _frequencies(hyps: Iterable[Disjunct], lexicon: Lexicon
-                 ) -> dict[Disjunct, int]:
-    """For each hypothesis, the number of lexicon words carrying a disjunct
-    compatible with it.  Words with equal entries are counted together,
-    so each distinct entry is checked once per hypothesis."""
-    entries = lexicon.entry_counts()
-    return {
-        h: sum(n for ds, n in entries.items()
-               if any(compatible(h, d) for d in ds))
-        for h in hyps
-    }
+def _frequencies(forms: Mapping[Disjunct, Sequence[Disjunct]],
+                 lexicon: Lexicon) -> dict[Disjunct, int]:
+    """For each hypothesis, the number of lexicon words whose entry holds
+    one of its compatible inventory forms.  Words with equal entries are
+    counted together, so each distinct entry is read once per hypothesis."""
+    entries = lexicon.entry_counts().items()
+    sets = {h: set(fs) for h, fs in forms.items()}
+    return {h: sum(n for ds, n in entries if not fs.isdisjoint(ds))
+            for h, fs in sets.items()}
 
 
 def _ranked(keys: Iterable[tuple], i: int, rank) -> tuple[Disjunct, ...]:
@@ -174,28 +172,29 @@ def _joints_from(outcome: SolveOutcome, unknown: Sequence[int]
             for key, sols in joints.items()}
 
 
+def _forms(h: Disjunct, inventory: Sequence[Disjunct]) -> list[Disjunct]:
+    """The inventory forms compatible with h, in inventory order: connector
+    match, not equality, so ((D) (Ss)) has the form ((Ds) (Ss))."""
+    return [d for d in inventory if compatible(h, d)]
+
+
 def filter_by_inventory(hyps: Sequence[Disjunct],
                         inventory: Sequence[Disjunct]) -> tuple[Disjunct, ...]:
-    """Hypotheses already used by some known word, input order preserved.
-
-    Membership is connector-match compatibility, not structural equality: a
-    synthesized ((D) (Ss)) is accepted by an inventory ((Ds) (Ss)).
-    """
-    return tuple(
-        h for h in hyps if any(compatible(h, d) for d in inventory)
-    )
+    """Hypotheses already used by some known word, input order preserved."""
+    return tuple(h for h in hyps if _forms(h, inventory))
 
 
 def _substituted(witness: tuple[Disjunct, ...], unknown: Sequence[int],
-                 inventory: Sequence[Disjunct]) -> tuple[Disjunct, ...]:
+                 forms: Mapping[Disjunct, Sequence[Disjunct]]
+                 ) -> tuple[Disjunct, ...]:
     """The witness's choices with each unknown word's read-off disjunct
-    replaced by the compatible inventory form giving the smallest links
-    (the first in inventory order on ties), so the links carry the
+    replaced by its compatible inventory form (`forms`) giving the smallest
+    links (the first in inventory order on ties), so the links carry the
     lexicon's subscripts."""
     choices = witness
     for p in unknown:
-        trials = [choices[:p] + (d,) + choices[p + 1:] for d in inventory
-                  if compatible(witness[p], d)]
+        trials = [choices[:p] + (d,) + choices[p + 1:]
+                  for d in forms[witness[p]]]
         choices = min(trials, key=links_for)
     return choices
 
@@ -236,8 +235,7 @@ def acquire_syntax(
         raise NoSolutionError(
             "no valid linkage for %r" % (" ".join(words),), trace)
 
-    # once per linkable call: the blind count, the filter and the witnesses
-    # read it
+    # once per linkable call: the blind count and the forms read it
     inventory = lexicon.inventory() if unknown else ()
     blind = max(len(inventory), 1) ** len(unknown)
     for entry in known.values():
@@ -253,8 +251,12 @@ def acquire_syntax(
             novel=False, trace=tuple(trace), stats=stats)
 
     joint_map = _joints_from(outcome, unknown)
-    # rank keys (most frequent first, then display form), once per call
-    counts = _frequencies({h for key in joint_map for h in key}, lexicon)
+    # each distinct hypothesis's compatible inventory forms, once per call:
+    # ranking, the filter and the witnesses read them
+    forms = {h: _forms(h, inventory)
+             for h in {h for key in joint_map for h in key}}
+    # rank keys (most frequent first, then display form)
+    counts = _frequencies(forms, lexicon)
     rank = {h: (-n, str(h)) for h, n in counts.items()}
     hyp_key = rank.__getitem__
 
@@ -269,14 +271,12 @@ def acquire_syntax(
 
     novel = False
     if filter_on:
-        # one inventory check for all the distinct hypotheses (counts' keys)
-        kept = set(filter_by_inventory(tuple(counts), inventory))
         surviving = [key for key in ordered_joints
-                     if all(h in kept for h in key)]
+                     if all(forms[h] for h in key)]
         if surviving:
             for p in unknown:
                 for h in prefilter[p]:
-                    if h not in kept:
+                    if not forms[h]:
                         trace.append(TraceEvent(
                             "eliminate", p, words[p], h,
                             "not in lexicon inventory"))
@@ -292,7 +292,7 @@ def acquire_syntax(
     # each joint's witness is its smallest solution of the pruning solve
     witnesses = [joint_map[key] for key in surviving]
     if filter_on and not novel:
-        witnesses = [_substituted(c, unknown, inventory) for c in witnesses]
+        witnesses = [_substituted(c, unknown, forms) for c in witnesses]
     linkages = linkages_from(words, witnesses)
 
     return AcquisitionResult(

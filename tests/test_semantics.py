@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexacq.lexicon import LexiconError, parse_lexicon
+from lexacq import semantics
 from lexacq.linker import Linkage, SearchBudgetError, UnknownWordError, parse
 from lexacq.semantics import (
     ConceptHierarchies,
@@ -117,6 +118,30 @@ def test_hand_built_hierarchy_must_be_a_tree(edges, message):
     with pytest.raises(HierarchyError) as info:
         ConceptHierarchy("noun", edges)
     assert (str(info.value), info.value.line) == (message, None)
+
+
+@pytest.mark.parametrize("edges, name", [
+    ((("Thing", "a b"),), "Thing"),
+    ((("thing", "a b"),), "a b"),
+    ((("thing", "cow"), ("cow", "3rd")), "3rd"),
+])
+def test_hand_built_hierarchy_rejects_a_bad_concept_name(edges, name):
+    # its serialized text would be rejected by parse
+    with pytest.raises(HierarchyError) as info:
+        ConceptHierarchy("noun", edges)
+    assert (str(info.value), info.value.line) == (
+        "bad concept name %r" % (name,), None)
+
+
+def test_parsed_hierarchy_names_are_checked_by_the_reader_alone(
+        hierarchies, monkeypatch):
+    class Unused:
+        def match(self, name):
+            raise AssertionError("name %r checked twice" % (name,))
+
+    monkeypatch.setattr(semantics, "_WORD_RE", Unused())
+    text = hierarchies.nouns.serialize()
+    assert ConceptHierarchy.parse(text, "noun") == hierarchies.nouns
 
 
 def test_hierarchies_of_the_wrong_kinds_are_an_error(hierarchies):
@@ -373,7 +398,7 @@ def _semlex_and_hierarchies(draw):
                                draw(_hierarchy("verb", "v")))
     nodes = {h.kind: sorted(h.nodes()) for h in (hiers.nouns, hiers.verbs)}
     table = {}
-    for word in ("w1", "w2", "w3")[:draw(st.integers(1, 3))]:
+    for word in ("wa", "wb", "wc")[:draw(st.integers(1, 3))]:
         templates = draw(st.lists(_template(), min_size=1, max_size=2))
         items = []
         for _ in range(draw(st.integers(0, 10))):
@@ -629,6 +654,17 @@ def test_semlex_serialization_form(hierarchies):
                      ("right", 0): "food"}, 2),)})
     assert serialize_semlex(semlex) == (
         "eats: ((Ss_animal) (O_food)) ;support=2\n")
+
+
+def test_hand_built_semantic_values_hold_only_writable_names():
+    # each would serialize to text that parse_semlex rejects
+    with pytest.raises(LexiconError, match="bad tag name 'Cow X'"):
+        TD("((Ss) ( ))", {("left", 0): "Cow X"})
+    obs = TD("((Ss) ( ))", {("left", 0): "cow"})
+    with pytest.raises(LexiconError, match="bad word 'a b'"):
+        SemanticLexicon({"a b": (obs,)})
+    with pytest.raises(LexiconError, match="bad word 'a b'"):
+        SemanticLexicon().observe("a b", obs)
 
 
 def test_semlex_parse_untagged_connectors(hierarchies):

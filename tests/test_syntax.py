@@ -13,11 +13,13 @@ from lexacq.lexicon import (Connector, Disjunct, Lexicon, LexiconError,
 from lexacq.linker import (FAILURE_KINDS, SearchBudgetError,
                            SentenceTooLongError, compatible, linkages_from,
                            links_for, parse, solve, validate)
+from lexacq import syntax
 from lexacq.syntax import (
     NoSolutionError,
     TooManyUnknownsError,
     TraceEvent,
     _cause_reason,
+    _forms,
     _frequencies,
     _substituted,
     acquire_syntax,
@@ -268,6 +270,13 @@ def test_acquire_rejects_bad_unknown_word_before_search(lexicon):
 # --- hypothesis frequencies --------------------------------------------------
 
 
+def _forms_of(hyps, lexicon):
+    """Each hypothesis's compatible forms in the lexicon's inventory, as an
+    acquisition builds them."""
+    inventory = lexicon.inventory()
+    return {h: _forms(h, inventory) for h in hyps}
+
+
 def _naive_frequency(hyp, lexicon):
     """Reference count: rescan every word's entry for a compatible disjunct."""
     count = 0
@@ -343,8 +352,12 @@ def test_frequencies_equal_per_word_count(lexicon, data):
         st.sampled_from(inventory),
         st.sampled_from(inventory).map(_bare),
     ), max_size=6))
-    assert _frequencies(hyps, lexicon) == {
+    forms = _forms_of(hyps, lexicon)
+    assert _frequencies(forms, lexicon) == {
         h: _naive_frequency(h, lexicon) for h in hyps}
+    for h in hyps:
+        assert forms[h] == [d for d in inventory if compatible(h, d)]
+        assert bool(forms[h]) == bool(filter_by_inventory((h,), inventory))
     # the carried counts are a fresh value's, with no zero left over
     fresh = parse_lexicon(serialize_lexicon(lexicon))
     expected = dict(Counter(map(fresh.lookup, fresh)))
@@ -372,14 +385,15 @@ def test_entry_counts_are_read_only():
     hyps = [D("((D) (S))"), D("((Dp) (Sp))")]
     counts = lexicon.entry_counts()
     before = dict(counts)
-    frequencies = _frequencies(hyps, lexicon)
+    forms = _forms_of(hyps, lexicon)
+    frequencies = _frequencies(forms, lexicon)
     entry = lexicon.lookup("c")
     with pytest.raises(TypeError):
         counts[entry] = 0
     with pytest.raises(AttributeError):
         counts.clear()
     assert dict(lexicon.entry_counts()) == before
-    assert _frequencies(hyps, lexicon) == frequencies == {
+    assert _frequencies(forms, lexicon) == frequencies == {
         hyps[0]: 3, hyps[1]: 1}
 
 
@@ -391,7 +405,7 @@ def test_frequencies_cover_none_some_and_all_words():
     """)
     hyps = [D("((D) (S))"), D("((Ds) (Ss))"), D("((A) ( ))"),
             D("((C) ( ))"), D("((D) (Os))")]
-    counts = _frequencies(hyps, lexicon)
+    counts = _frequencies(_forms_of(hyps, lexicon), lexicon)
     assert [counts[h] for h in hyps] == [5, 4, 1, 0, 3]
     assert counts == {h: _naive_frequency(h, lexicon) for h in hyps}
 
@@ -448,6 +462,28 @@ def test_one_inventory_check_equals_per_hypothesis_filter(lexicon, words):
             acquire_syntax(words, lexicon)
         return
     assert _filtered(words, lexicon) == expected
+
+
+@pytest.mark.parametrize("sentence", [
+    "the snipe eats meat",
+    "the big snipe eats the wug",
+    "the snipe cow eats the wug",  # 5 joints share 7 hypotheses
+])
+def test_each_hypothesis_scans_the_inventory_once(lexicon, monkeypatch,
+                                                  sentence):
+    """Ranking, the filter and the witnesses share one compatibility scan
+    of the inventory per distinct hypothesis."""
+    calls = []
+
+    def counting(h, d):
+        calls.append((h, d))
+        return compatible(h, d)
+
+    monkeypatch.setattr(syntax, "compatible", counting)
+    result = acquire_syntax(sentence.split(), lexicon)
+    hyps = {h for p in result.unknown_positions for h in result.prefilter[p]}
+    assert result.linkages and not result.novel
+    assert len(calls) == len(hyps) * len(lexicon.inventory())
 
 
 def test_inventory_check_keeps_one_joint_of_three(lexicon):
@@ -596,13 +632,14 @@ def test_substituted_witness_equals_the_reference(lexicon):
         unknown = result.unknown_positions
         inventory = lex.inventory()
         for joint, witness in zip(result.joints, result.linkages):
-            forms = [sum(compatible(joint[p], d) for d in inventory)
+            sizes = [sum(compatible(joint[p], d) for d in inventory)
                      for p in unknown]
-            if min(forms):
-                substituted = _substituted(witness.choices, unknown, inventory)
+            if min(sizes):
+                forms = _forms_of(joint.values(), lex)
+                substituted = _substituted(witness.choices, unknown, forms)
                 assert linkages_from(words, [substituted])[0] == (
                     reference_substituted(witness, unknown, inventory))
-                cases.append((len(unknown), max(forms)))
+                cases.append((len(unknown), max(sizes)))
 
     check()
     assert sum(count == 2 for count, _ in cases) >= 50
