@@ -84,12 +84,11 @@ class Workspace:
         files."""
         nouns = _load(self.noun_hierarchy_path, ConceptHierarchy.parse, "noun")
         verbs = _load(self.verb_hierarchy_path, ConceptHierarchy.parse, "verb")
-        shared = nouns.nodes() & verbs.nodes()
-        if shared:
-            raise WorkspaceError("%s, %s: %r appears in both hierarchies" % (
-                self.noun_hierarchy_path, self.verb_hierarchy_path,
-                min(shared)))
-        return ConceptHierarchies(nouns, verbs)
+        try:
+            return ConceptHierarchies(nouns, verbs)
+        except HierarchyError as exc:
+            raise WorkspaceError("%s, %s: %s" % (self.noun_hierarchy_path,
+                                 self.verb_hierarchy_path, exc)) from exc
 
     def load_semlex(self, hiers: ConceptHierarchies) -> SemanticLexicon:
         # The semantic lexicon starts empty; train creates the file.

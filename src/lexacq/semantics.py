@@ -76,15 +76,11 @@ class ConceptHierarchy:
         """Check the kind and the edges, then derive the tree's maps."""
         if self.kind not in ("noun", "verb"):
             raise HierarchyError("bad hierarchy kind %r" % (self.kind,))
-        edges = tuple(self.edges)
+        edges = tuple(self.edges if names_checked else map(_edge, self.edges))
         if not edges:
             raise HierarchyError("empty hierarchy")
         placed: set = set()
         for p, c in edges:
-            if not names_checked:
-                for name in (p, c):
-                    if not _WORD_RE.match(name):
-                        raise HierarchyError("bad concept name %r" % (name,))
             problem = _misplaced(placed, p, c)
             if problem is not None:
                 raise HierarchyError(problem)
@@ -146,6 +142,16 @@ class ConceptHierarchy:
         """Deepest node subsuming both a and b."""
         above_a = self._chain(a)
         return next(node for node in self._chain(b) if node in above_a)
+
+
+def _edge(edge) -> tuple:
+    """A hand-built edge as a (parent, child) tuple of concept names."""
+    if not isinstance(edge, (tuple, list)) or len(edge) != 2:
+        raise HierarchyError("bad edge %r" % (edge,))
+    for name in edge:
+        if not (isinstance(name, str) and _WORD_RE.match(name)):
+            raise HierarchyError("bad concept name %r" % (name,))
+    return tuple(edge)
 
 
 def _misplaced(placed: set, parent: str, child: str) -> Optional[str]:
@@ -212,25 +218,17 @@ class ConceptHierarchies:
         if (self.nouns.kind, self.verbs.kind) != ("noun", "verb"):
             raise HierarchyError("hierarchy kinds %s, %s are not noun, verb"
                                  % (self.nouns.kind, self.verbs.kind))
+        nouns, verbs = self.nouns.nodes(), self.verbs.nodes()
+        if shared := nouns & verbs:
+            raise HierarchyError("%r appears in both hierarchies"
+                                 % (min(shared),))
+        object.__setattr__(self, "_holder",  # name -> its hierarchy
+                           dict.fromkeys(nouns, self.nouns)
+                           | dict.fromkeys(verbs, self.verbs))
 
     def hierarchy_of(self, name: str) -> Optional[ConceptHierarchy]:
         """The hierarchy a name belongs to; None if neither."""
-        in_nouns = name in self.nouns
-        if name not in self.verbs:
-            return self.nouns if in_nouns else None
-        if in_nouns:
-            raise HierarchyError("%r appears in both hierarchies" % (name,))
-        return self.verbs
-
-    def kind_of(self, name: str) -> Optional[str]:
-        """Which hierarchy a name belongs to; None if neither."""
-        h = self.hierarchy_of(name)
-        return None if h is None else h.kind
-
-    def leaf_kind_of(self, word: str) -> Optional[str]:
-        """Which hierarchy the word is a leaf of; None if not a leaf."""
-        h = self.hierarchy_of(word)
-        return h.kind if h is not None and h.is_leaf(word) else None
+        return self._holder.get(name)
 
 
 def _concept_hierarchy(hiers: ConceptHierarchies,
@@ -254,7 +252,13 @@ class TaggedDisjunct:
     support: int = 1
 
     def __post_init__(self):
-        items = sorted(dict(self.tags).items(),
+        tags: dict = {}
+        for slot, tag in (self.tags.items() if isinstance(self.tags, Mapping)
+                          else self.tags):
+            if slot in tags:
+                raise ValueError("tag slot %r is tagged twice" % (slot,))
+            tags[slot] = tag
+        items = sorted(tags.items(),
                        key=lambda item: (item[0][0] != "left", item[0][1]))
         object.__setattr__(self, "tags", tuple(items))
         for (side, index), tag in self.tags:
@@ -267,6 +271,13 @@ class TaggedDisjunct:
         if self.support < 1:
             raise ValueError("support must be positive")
 
+    @classmethod
+    def _of(cls, shape, tags: tuple, support: int = 1) -> "TaggedDisjunct":
+        """An observation of tags already checked and in slot order."""
+        out = cls.__new__(cls)
+        out.__dict__.update(shape=shape, tags=tags, support=support)
+        return out
+
     def tag_at(self, side: str, index: int) -> Optional[str]:
         return dict(self.tags).get((side, index))
 
@@ -276,13 +287,6 @@ class TaggedDisjunct:
         for (side, index), tag in self.tags:
             (left if side == "left" else right)[index] += "_" + tag
         return "((%s) (%s))" % (",".join(left) or " ", ",".join(right) or " ")
-
-
-def _with_support(obs: TaggedDisjunct, support: int) -> TaggedDisjunct:
-    """obs with another support count, without re-checking its tags."""
-    out = object.__new__(TaggedDisjunct)
-    out.__dict__.update(obs.__dict__, support=support)
-    return out
 
 
 def _pooled(observations: Iterable[TaggedDisjunct]) -> tuple:
@@ -297,7 +301,7 @@ def _pooled(observations: Iterable[TaggedDisjunct]) -> tuple:
             at[key] = len(out)
             out.append(obs)
         else:
-            out[i] = _with_support(out[i], out[i].support + obs.support)
+            out[i] = TaggedDisjunct._of(*key, out[i].support + obs.support)
     return tuple(out)
 
 
@@ -408,13 +412,15 @@ def _slot_partners(linkage: Linkage):
 def _tagged_words(linkage: Linkage, hiers: ConceptHierarchies):
     """Yield tag_sentence's (word, observation) pairs, in sentence order."""
     words = linkage.words
+    leaf = [(h := hiers.hierarchy_of(w)) is not None and h.is_leaf(w)
+            for w in words]
     for pos, partners in enumerate(_slot_partners(linkage)):
-        if hiers.leaf_kind_of(words[pos]) is None:
+        if not leaf[pos]:
             continue
         tags = tuple((slot, words[q]) for slot, q in partners.items()
-                     if hiers.leaf_kind_of(words[q]) is not None)
+                     if leaf[q])
         if tags:
-            yield words[pos], TaggedDisjunct(linkage.choices[pos], tags)
+            yield words[pos], TaggedDisjunct._of(linkage.choices[pos], tags)
 
 
 def generalize(semlex: SemanticLexicon,
@@ -427,7 +433,7 @@ def generalize(semlex: SemanticLexicon,
     Two tags meet below the root exactly when they sit under one child of
     it, and a merge keeps them there, so any order of pairwise merges gives
     this, with no two equal observations left to pool.  A tag in neither
-    hierarchy raises UnknownConceptError, and one in both HierarchyError."""
+    hierarchy raises UnknownConceptError."""
     tops: dict = {}  # tag -> (its hierarchy, (kind, root's child) or None)
     table = {}
     for word in semlex.words():
@@ -448,7 +454,7 @@ def generalize(semlex: SemanticLexicon,
                 out.append(obs)
             else:
                 first = out[i]
-                out[i] = TaggedDisjunct(first.shape, tuple(
+                out[i] = TaggedDisjunct._of(first.shape, tuple(
                     (slot, tops[b][0].lcs(a, b))
                     for (slot, a), (_, b) in zip(first.tags, obs.tags)),
                     first.support + obs.support)
@@ -568,11 +574,7 @@ def _walk_semlex(text: str, hiers: ConceptHierarchies) -> SemanticLexicon:
                 for i, (_c, tag_name) in enumerate(conns):
                     if tag_name is None:
                         continue
-                    try:
-                        kind = hiers.kind_of(tag_name)
-                    except HierarchyError as exc:
-                        raise LexiconError(str(exc), line) from None
-                    if kind is None:
+                    if hiers.hierarchy_of(tag_name) is None:
                         raise LexiconError(
                             "tag %r is in neither hierarchy" % tag_name, line)
                     tags[(side, i)] = tag_name
@@ -622,7 +624,7 @@ def _tagged_body(body: str, connector) -> TaggedDisjunct:
             if tag_name:
                 tags.append(((side, i), tag_name))
         sides.append(tuple(conns))
-    return TaggedDisjunct(Disjunct(*sides), tuple(tags))
+    return TaggedDisjunct._of(Disjunct(*sides), tuple(tags))
 
 
 def _builder():
@@ -636,7 +638,8 @@ def _builder():
         obs = parsed.get(body)
         if obs is None:
             obs = parsed[body] = _tagged_body(body, connector)
-        return obs if support == 1 else _with_support(obs, support)
+        return (obs if support == 1
+                else TaggedDisjunct._of(obs.shape, obs.tags, support))
 
     return lambda items: _pooled(observation(*item) for item in items)
 
@@ -673,11 +676,8 @@ def _read_semlex(text: str, hiers: ConceptHierarchies
         pos = m.end()
     if text[pos:].strip():
         return None
-    try:
-        if None in map(hiers.kind_of, set(_TAG_NAME_RE.findall(text))):
-            return None  # a name in neither hierarchy
-    except HierarchyError:  # a name in both
-        return None
+    if None in map(hiers.hierarchy_of, set(_TAG_NAME_RE.findall(text))):
+        return None  # a name in neither hierarchy
     return SemanticLexicon._of(table, _builder())
 
 

@@ -23,6 +23,7 @@ from lexacq.cli import (
 )
 from lexacq.lexicon import parse_lexicon
 from lexacq.linker import MAX_SEARCH_NODES, MAX_SENTENCE_WORDS
+from lexacq.semantics import TaggedDisjunct
 
 
 @pytest.fixture
@@ -600,6 +601,25 @@ def test_classify_after_training(ws, capsys):
     assert out[1] == "  evidence: eats ((Ss_animal) (O_food)) where meat is food"
     assert run(ws, "classify", "the snipe eats gasoline") == 0
     assert capsys.readouterr().out.splitlines()[0] == "snipe -> car"
+
+
+def test_commands_do_not_recheck_the_observations_they_build(
+        ws, capsys, monkeypatch):
+    """Observations tagged, read, pooled or merged by the program are
+    built without the public constructor's checks."""
+    checked = []
+    monkeypatch.setattr(TaggedDisjunct, "__post_init__",
+                        lambda self: checked.append(self))
+    corpus = str(ws / "sample_corpus.txt")
+    counts = []
+    for argv in (["train", corpus], ["train", corpus],
+                 ["classify", "the wug eats corn"],
+                 ["classify", "the car eats wug"]):
+        assert run(ws, *argv) == 0
+        counts.append(len(checked))
+        checked.clear()
+    capsys.readouterr()
+    assert counts == [0, 0, 0, 0]
 
 
 def test_classify_requires_one_unknown(ws, capsys):

@@ -42,16 +42,14 @@ from lexacq.semantics import (
     _read_semlex,
     _walk_hierarchy,
     _walk_semlex,
-    _with_support,
     parse_semlex,
     serialize_semlex,
 )
 
-# "cow" is in both hierarchies, so a tag naming it is ambiguous
 HIERS = ConceptHierarchies(
     ConceptHierarchy.parse(
         "thing > animal\nanimal > cow\nthing > food\nfood > meat\n", "noun"),
-    ConceptHierarchy.parse("action > eats\naction > cow\n", "verb"),
+    ConceptHierarchy.parse("action > eats\n", "verb"),
 )
 TAG_NAMES = ["action", "animal", "eats", "food", "meat", "thing"]
 
@@ -165,8 +163,6 @@ SEMLEX_ERRORS = [
     # unknown tag
     ('eats: ((Ss_animal) (O_unicorn))',
      "line 1: tag 'unicorn' is in neither hierarchy", 1),
-    ('eats: ((Ss_cow) (O))',
-     "line 1: 'cow' appears in both hierarchies", 1),
     # bad support count
     ('eats: ((Ss) (O)) ;support=0',
      "line 1: bad support count '0'", 1),
@@ -194,8 +190,6 @@ SEMLEX_ERRORS = [
     # a bad entry after good ones, checked though no lookup ever reads it
     (_GOOD_ENTRIES + 'zebra: ((Ds) (Ss_unicorn))',
      "line 3: tag 'unicorn' is in neither hierarchy", 3),
-    (_GOOD_ENTRIES + 'zebra: ((Ds) (Ss_cow))',
-     "line 3: 'cow' appears in both hierarchies", 3),
     (_GOOD_ENTRIES + 'zebra: ((Ds) (Ss_animal)) ;support=0',
      "line 3: bad support count '0'", 3),
     (_GOOD_ENTRIES + 'meat: ((Os) ( ))',
@@ -471,7 +465,7 @@ def test_semlex_pools_equal_observations_spaced_apart():
 
 def _eager_tagged_body(body, hiers) -> Optional[TaggedDisjunct]:
     """Reference: the observation of a matched body; None when a tag
-    names no single concept."""
+    names no concept."""
     sides, tags = [], []
     for side, tokens in zip(("left", "right"), _body_tokens(body)):
         conns = []
@@ -479,11 +473,7 @@ def _eager_tagged_body(body, hiers) -> Optional[TaggedDisjunct]:
             name, _, tag_name = token.partition("_")
             conns.append(Connector.parse(name))
             if tag_name:
-                try:
-                    kind = hiers.kind_of(tag_name)
-                except HierarchyError:
-                    return None
-                if kind is None:
+                if hiers.hierarchy_of(tag_name) is None:
                     return None
                 tags.append(((side, i), tag_name))
         sides.append(tuple(conns))
@@ -521,10 +511,11 @@ def _eager_read_semlex(text, hiers) -> Optional[dict]:
         i = pooled.get(id(obs))
         if i is not None:
             support += items[i].support
-            items[i] = _with_support(obs, support)
+            items[i] = TaggedDisjunct(obs.shape, obs.tags, support)
         else:
             pooled[id(obs)] = len(items)
-            items.append(obs if support == 1 else _with_support(obs, support))
+            items.append(obs if support == 1
+                         else TaggedDisjunct(obs.shape, obs.tags, support))
         pos = m.end()
     return None if text[pos:].strip() else table
 

@@ -95,12 +95,16 @@ def test_hierarchy_round_trip(hierarchies):
 
 
 def test_hand_built_hierarchy_equals_the_parsed_one():
-    h = ConceptHierarchy("noun", (("animal", "cow"),))
-    assert h == ConceptHierarchy.parse("animal > cow\n", "noun")
-    assert h.root == "animal" and not h.is_leaf("animal")
-    assert h.is_leaf("cow")
-    assert h.serialize() == "animal > cow\n"
-    assert ConceptHierarchy.parse(h.serialize(), "noun") == h
+    parsed = ConceptHierarchy.parse("animal > cow\n", "noun")
+    # an edge given as a list is stored as a (parent, child) tuple
+    for edges in ((("animal", "cow"),), [["animal", "cow"]]):
+        h = ConceptHierarchy("noun", edges)
+        assert h == parsed and hash(h) == hash(parsed)
+        assert h.edges == (("animal", "cow"),)
+        assert h.root == "animal" and not h.is_leaf("animal")
+        assert h.is_leaf("cow")
+        assert h.serialize() == "animal > cow\n"
+        assert ConceptHierarchy.parse(h.serialize(), "noun") == h
 
 
 def test_hierarchy_without_edges_is_an_error():
@@ -112,6 +116,11 @@ def test_hierarchy_without_edges_is_an_error():
     ((("a", "b"), ("c", "d"), ("d", "c")), "parent 'c' not introduced yet"),
     ((("a", "b"), ("x", "y")), "parent 'x' not introduced yet"),
     ((("a", "b"), ("a", "b")), "'b' already has a place in the tree"),
+    # an edge is a (parent, child) tuple or list; a string is not one
+    (["ab"], "bad edge 'ab'"),
+    ([5], "bad edge 5"),
+    ((("thing", "cow", "x"),), "bad edge ('thing', 'cow', 'x')"),
+    ((("thing",),), "bad edge ('thing',)"),
 ])
 def test_hand_built_hierarchy_must_be_a_tree(edges, message):
     # a cycle would hang ancestors(), and an unplaced parent raise KeyError
@@ -124,6 +133,7 @@ def test_hand_built_hierarchy_must_be_a_tree(edges, message):
     ((("Thing", "a b"),), "Thing"),
     ((("thing", "a b"),), "a b"),
     ((("thing", "cow"), ("cow", "3rd")), "3rd"),
+    ((("thing", 5),), 5),
 ])
 def test_hand_built_hierarchy_rejects_a_bad_concept_name(edges, name):
     # its serialized text would be rejected by parse
@@ -158,18 +168,18 @@ def test_kind_of_selects_hierarchy(hierarchies):
     assert hierarchies.hierarchy_of("animal") is hierarchies.nouns
     assert hierarchies.hierarchy_of("eats") is hierarchies.verbs
     assert hierarchies.hierarchy_of("the") is None
-    assert hierarchies.kind_of("cow") == "noun"
-    assert hierarchies.kind_of("eats") == "verb"
-    assert hierarchies.kind_of("the") is None
-    assert hierarchies.leaf_kind_of("animal") is None  # interior, not a word
+    assert hierarchies.hierarchy_of("cow").kind == "noun"
+    assert hierarchies.hierarchy_of("cow").is_leaf("cow")
+    assert not hierarchies.nouns.is_leaf("animal")  # interior, not a word
 
 
 def test_word_in_both_hierarchies_is_an_error():
-    a = ConceptHierarchy.parse("thing > cow", "noun")
-    b = ConceptHierarchy.parse("action > cow", "verb")
-    hiers = ConceptHierarchies(a, b)
-    with pytest.raises(HierarchyError):
-        hiers.kind_of("cow")
+    # refused when the pair is built, naming the smallest shared name
+    a = ConceptHierarchy.parse("thing > cow\nthing > bird", "noun")
+    b = ConceptHierarchy.parse("action > cow\naction > bird", "verb")
+    with pytest.raises(HierarchyError) as info:
+        ConceptHierarchies(a, b)
+    assert str(info.value) == "'bird' appears in both hierarchies"
 
 
 def test_random_trees_subsumption_partial_order_and_lcs():
@@ -287,6 +297,9 @@ def test_tagged_disjunct_str():
     ({("left", 1): "animal"}, 1, r"tag slot \('left', 1\) outside shape"),
     ({("up", 0): "animal"}, 1, r"tag slot \('up', 0\) outside shape"),
     ({("left", 0): "animal"}, 0, "support must be positive"),
+    # a slot tagged twice would keep only its last tag
+    (((("left", 0), "cow"), (("left", 0), "meat")), 1,
+     r"tag slot \('left', 0\) is tagged twice"),
 ])
 def test_tagged_disjunct_rejects_a_bad_slot_or_support(tags, support,
                                                        message):
